@@ -36,6 +36,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _dims(text):
     try:
         h_txt, w_txt = text.lower().split("x")
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare fused and unfused detail-branch runs")
     p.add_argument("dims", type=_dims, help="input size, e.g. 256x256")
     p.add_argument("--tile-size", type=_positive_int, default=32)
-    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--repetitions", type=_nonnegative_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -5,14 +5,21 @@ an input tile is loaded once, carried through all three layers in on-chip
 buffers, and only the final features are written back. Because 1x1 convs
 have no spatial extent, tiles never overlap and edge tiles are simply the
 residual rectangles, so any tiling is bit-identical to the layer-by-layer
-reference path (both run the same fixed-order kernels).
+reference path (both run the same fixed-order kernel).
+
+On the host, whole tiles that sit side by side in one tile row are run
+together: as many as fit in nn_ops.CHUNK_PIXELS pixels (at least one) are
+gathered channels-first into one buffer and carried through d1..d3 and
+their ReLUs in place. Grouping is a numpy batching device only; it changes
+neither the output bits nor the traffic model below.
 
 Traffic is a cost model, not a measurement: byte counters increment at the
-points where a real accelerator would touch external memory. Peak on-chip
-bytes for the fused schedule assume buffers preallocated for a full s x s
-tile at the input width plus the two widest intermediate widths. The
-unfused schedule streams one pixel at a time per layer, so its working set
-is the widest (in + out) channel pair.
+points where a real accelerator would touch external memory, summed over
+the tiles of tile_grid. Peak on-chip bytes for the fused schedule model the
+accelerator's per-tile working set - buffers preallocated for a full s x s
+tile at the input width plus the two widest intermediate widths - not the
+size of numpy's group buffers. The unfused schedule streams one pixel at a
+time per layer, so its working set is the widest (in + out) channel pair.
 """
 
 import time
@@ -103,7 +110,8 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
 
     Returns (output, TrafficReport). Off-chip traffic reads the input once
     and writes the output once regardless of tile size; intermediates stay
-    on chip.
+    on chip. Each layer computes in result_type(its input, its weights), as
+    the unfused path does, so a float64 input stays float64.
     """
     _check_detail_input(x)
     h, w = x.shape[:2]
@@ -111,16 +119,34 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
     if not 1 <= s <= min(h, w):
         raise ValueError(f"invalid tile size {s} for {h}x{w} input")
     kernels = _detail_kernels(weights)
-    out = np.empty((h, w, model.DETAIL_CHANNELS[-1]), dtype=x.dtype)
+    chans = model.DETAIL_CHANNELS
     reads = writes = 0
     for r0, r1, c0, c1 in tile_grid(h, w, s):
-        t = x[r0:r1, c0:c1]
         npix = (r1 - r0) * (c1 - c0)
-        reads += npix * model.DETAIL_CHANNELS[0] * _BYTES_F32
-        for kern in kernels:
-            t = nn_ops.relu(nn_ops.pointwise_forward(t, kern))
-        out[r0:r1, c0:c1] = t
-        writes += npix * model.DETAIL_CHANNELS[-1] * _BYTES_F32
+        reads += npix * chans[0] * _BYTES_F32
+        writes += npix * chans[-1] * _BYTES_F32
+
+    dtypes = [x.dtype]
+    for kern in kernels:
+        dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
+    # A group is whole tiles along one tile row; group edges fall on tile edges.
+    group_w = min(w, s * max(1, nn_ops.CHUNK_PIXELS // (s * s)))
+    cap = min(s, h) * group_w
+    acts = [np.empty(c * cap, dtype=d) for c, d in zip(chans, dtypes)]
+    scratch = [np.empty(c * cap, dtype=d) for c, d in zip(chans[1:], dtypes[1:])]
+    out = np.empty((h, w, chans[-1]), dtype=dtypes[-1])
+    for r0 in range(0, h, s):
+        r1 = min(r0 + s, h)
+        for c0 in range(0, w, group_w):
+            c1 = min(c0 + group_w, w)
+            rows, cols = r1 - r0, c1 - c0
+            t = [buf[: c * rows * cols].reshape(c, rows * cols) for buf, c in zip(acts, chans)]
+            t[0].reshape(chans[0], rows, cols)[...] = x[r0:r1, c0:c1].transpose(2, 0, 1)
+            for i, kern in enumerate(kernels):
+                prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
+                nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
+                nn_ops.relu(t[i + 1], out=t[i + 1])
+            out[r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols).transpose(1, 2, 0)
     peak = s * s * _FUSED_PEAK_CHANNELS * _BYTES_F32
     return out, TrafficReport("fused", reads, writes, peak)
 

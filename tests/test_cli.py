@@ -131,6 +131,11 @@ def test_bench_zero_repetitions_skips_timing(capsys):
     assert "s/run" not in out
 
 
+def test_bench_rejects_negative_repetitions(capsys):
+    assert cli.main(["bench", "16x16", "--repetitions", "-1"]) == 1
+    assert "--repetitions" in capsys.readouterr().err
+
+
 def test_bench_rejects_non_multiple_of_eight():
     assert cli.main(["bench", "20x20"]) == 1
 

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lightfuse import fusion, model, nn_ops
 from lightfuse.fusion import (
@@ -56,6 +60,70 @@ def test_tile_order_does_not_matter(weights):
             t = nn_ops.relu(nn_ops.pointwise_forward(t, kern))
         out[r0:r1, c0:c1] = t
     assert out.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float64, np.float32), (np.float32, np.float64)])
+def test_fused_keeps_the_unfused_result_dtype(weights, x_dtype, w_dtype):
+    x = detail_input(24, 40, seed=21).astype(x_dtype)
+    cast = {k: v.astype(w_dtype) for k, v in weights.items()}
+    fused, _ = run_detailnet_fused(x, cast, 7)
+    unfused, _ = run_detailnet_unfused(x, cast)
+    assert fused.dtype == unfused.dtype == np.float64
+    assert fused.tobytes() == unfused.tobytes()
+
+
+def random_weights(seed):
+    """Uniform weights with nonzero random biases (init_weights zeroes them)."""
+    store = init_weights(build_lightfuse(), seed)
+    rng = np.random.default_rng(seed)
+    for key, value in store.items():
+        if key.endswith("bias"):
+            store[key] = rng.uniform(-0.5, 0.5, size=value.shape).astype(np.float32)
+    return store
+
+
+def forward_with_detail_output(graph, weights, under, over):
+    """model.forward plus the detail-branch output it computed on the way."""
+    seen = {}
+    run_layer = model.run_layer
+
+    def recording(layer, store, x):
+        seen[layer.name] = y = run_layer(layer, store, x)
+        return y
+
+    with mock.patch.object(model, "run_layer", recording):
+        out = model.forward(graph, weights, under, over)
+    return out, seen[graph.branches[1][1][-1].name]
+
+
+@st.composite
+def shapes_and_tiles(draw):
+    h = 8 * draw(st.integers(1, 20))
+    w = 8 * draw(st.integers(1, 20))
+    return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(0, 2**16))
+
+
+# 7: residual tiles; 32: 128-px groups leave a 32-px residual group on W=160;
+# 65: one tile per group (65*65 > CHUNK_PIXELS) with residual tiles both ways
+@example(case=(160, 160, 7, 1))
+@example(case=(152, 160, 32, 2))
+@example(case=(160, 136, 65, 3))
+@example(case=(40, 16, 1, 4))
+@given(case=shapes_and_tiles())
+@settings(max_examples=25, deadline=None)
+def test_tiled_equals_unfused_equals_forward(case):
+    h, w, s, seed = case
+    graph = build_lightfuse()
+    weights = random_weights(seed)
+    rng = np.random.default_rng(seed)
+    under = rng.uniform(-1, 1, size=(h, w, 3)).astype(np.float32)
+    over = rng.uniform(-1, 1, size=(h, w, 3)).astype(np.float32)
+    x = np.concatenate((under, over), axis=2)
+    fused, _ = run_detailnet_fused(x, weights, s)
+    unfused, _ = run_detailnet_unfused(x, weights)
+    reference, detail = forward_with_detail_output(graph, weights, under, over)
+    assert fused.tobytes() == unfused.tobytes() == detail.tobytes()
+    assert fusion.fused_forward(graph, weights, under, over, s)[0].tobytes() == reference.tobytes()
 
 
 # ------------------------------------------------------------------ traffic

@@ -139,6 +139,37 @@ def test_pointwise_is_per_pixel_local():
     assert not np.array_equal(out2[2, 3], base[2, 3])
 
 
+def pixel_major_pointwise(x, kern):
+    """The original pixel-major loop, kept as the byte-for-byte oracle."""
+    x2 = x.reshape(-1, kern.in_channels)
+    out = np.empty((x2.shape[0], kern.out_channels), dtype=np.result_type(x2.dtype, kern.weights.dtype))
+    out[:] = kern.bias
+    for m in range(kern.in_channels):
+        out += x2[:, m, np.newaxis] * kern.weights[m]
+    return out.reshape(x.shape[:-1] + (kern.out_channels,))
+
+
+@pytest.mark.parametrize("npix_offset", (-1, 0, 1))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_pointwise_matches_pixel_major_oracle(npix_offset, dtype):
+    npix = nn_ops.CHUNK_PIXELS + npix_offset
+    kern = PointwiseKernel(rand((6, 32), seed=40), rand((32,), seed=41))
+    x = np.random.default_rng(42).standard_normal((npix, 6)).astype(dtype)
+    got = pointwise_forward(x, kern)
+    want = pixel_major_pointwise(x, kern)
+    assert got.dtype == want.dtype == np.result_type(dtype, np.float32)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pointwise_matches_pixel_major_oracle_leading_dims():
+    kern = PointwiseKernel(rand((32, 3), seed=43), rand((3,), seed=44))
+    # 8241 pixels under three leading dims: two full chunks and a residual one
+    x = rand((3, 41, 67, 32), seed=45)
+    got = pointwise_forward(x, kern)
+    assert got.shape == (3, 41, 67, 3)
+    assert got.tobytes() == pixel_major_pointwise(x, kern).tobytes()
+
+
 # ---------------------------------------------------------------- elementwise
 
 def test_upsample_constant():
@@ -174,6 +205,13 @@ def test_relu_tanh_add_basics():
     assert tanh(np.float32(0.0)) == 0.0
     x = rand((3, 3, 2), seed=14)
     assert (add(x, -x) == 0).all()
+
+
+def test_relu_in_place_matches_out_of_place():
+    x = rand((7, 5, 3), seed=46)
+    want = relu(x)
+    assert relu(x, out=x) is x
+    assert x.tobytes() == want.tobytes()
 
 
 def test_add_shape_mismatch():
