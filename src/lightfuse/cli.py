@@ -6,6 +6,7 @@ assertion failure.
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dims", type=_dims, help="input size, e.g. 256x256")
     p.add_argument("--tile-size", type=_positive_int, default=32)
     p.add_argument("--repetitions", type=_nonnegative_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="toy-train on a directory of scenes")
     p.add_argument("data_dir", help="directory of scene subdirectories")
     p.add_argument("out", help="output LFW1 weight file")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_nonnegative_int, default=200)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--curve", help="loss-curve CSV path (default: <out>.csv)")
     p.set_defaults(func=cmd_train)
 
@@ -150,9 +151,14 @@ def cmd_bench(args) -> int:
     print(fused_traffic.dump())
     print(unfused_traffic.dump())
     if args.repetitions > 0:
-        timings = fusion.time_paths(x, weights, tile, args.repetitions)
-        for label in ("fused", "unfused"):
-            print(f"{label}: {timings[label]:.6f} s/run")
+        for label, fn in (
+            ("fused", lambda: fusion.run_detailnet_fused(x, weights, tile)),
+            ("unfused", lambda: fusion.run_detailnet_unfused(x, weights)),
+        ):
+            t0 = time.perf_counter()
+            for _ in range(args.repetitions):
+                fn()
+            print(f"{label}: {(time.perf_counter() - t0) / args.repetitions:.6f} s/run")
     return EXIT_OK
 
 

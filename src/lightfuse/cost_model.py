@@ -13,10 +13,11 @@ Separable layers are split into their depthwise and pointwise parts in the
 report so category breakdowns stay meaningful.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .model import LayerSpec, ModelGraph
+from .model import LayerSpec, ModelGraph, param_entries, spatial_factor
 
 __all__ = [
     "FlopsConvention",
@@ -83,14 +84,7 @@ def flops_ds_conv(k: int, m: int, n: int, w: int, h: int) -> int:
 
 def params_of(layer: LayerSpec) -> int:
     """Exact parameter count of a layer; zero for activations and upsampling."""
-    k, m, n = layer.k, layer.in_channels, layer.out_channels
-    if layer.kind == "depthwise":
-        return k * k * m + (n if layer.bias else 0)
-    if layer.kind == "pointwise":
-        return m * n + n
-    if layer.kind == "separable":
-        return k * k * m + m * n + n
-    return 0
+    return sum(math.prod(shape) for _, shape, _ in param_entries(layer))
 
 
 @dataclass(frozen=True)
@@ -130,29 +124,25 @@ def analyze(graph: ModelGraph, convention: FlopsConvention = CONVENTIONS["table4
     for _, layers in graph.branches:
         scale = Fraction(1)  # output area of the current layer / input area
         for layer in layers:
+            scale *= spatial_factor(layer) ** 2
+            sp = Fraction(1) if nominal else scale
             k, m, n = layer.k, layer.in_channels, layer.out_channels
             if layer.kind == "depthwise":
-                scale /= layer.stride ** 2
-                sp = Fraction(1) if nominal else scale
                 entries.append(
                     LayerCost(layer.name, "depthwise", params_of(layer), Fraction(k * k * m) * sp * mac)
                 )
             elif layer.kind == "pointwise":
-                sp = Fraction(1) if nominal else scale
                 entries.append(
                     LayerCost(layer.name, "pointwise", params_of(layer), Fraction(m * n) * sp * mac)
                 )
             elif layer.kind == "separable":
-                scale /= layer.stride ** 2
-                sp = Fraction(1) if nominal else scale
+                # the depthwise half of a separable layer carries no bias
+                dw = params_of(replace(layer, kind="depthwise", bias=False))
+                entries.append(LayerCost(f"{layer.name}.dw", "depthwise", dw, Fraction(k * k * m) * sp * mac))
                 entries.append(
-                    LayerCost(f"{layer.name}.dw", "depthwise", k * k * m, Fraction(k * k * m) * sp * mac)
-                )
-                entries.append(
-                    LayerCost(f"{layer.name}.pw", "pointwise", m * n + n, Fraction(m * n) * sp * mac)
+                    LayerCost(f"{layer.name}.pw", "pointwise", params_of(layer) - dw, Fraction(m * n) * sp * mac)
                 )
             elif layer.kind == "upsample_nn":
-                scale *= 4
                 if convention.include_upsample:
                     entries.append(LayerCost(layer.name, "upsample", 0, Fraction(n) * scale))
             # relu / tanh are free in this accounting

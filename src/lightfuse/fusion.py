@@ -1,17 +1,20 @@
 """Tile-fused execution of the detail branch plus an off-chip traffic model.
 
-The three 1x1 conv layers of the detail branch are evaluated tile by tile:
-an input tile is loaded once, carried through all three layers in on-chip
-buffers, and only the final features are written back. Because 1x1 convs
-have no spatial extent, tiles never overlap and edge tiles are simply the
-residual rectangles, so any tiling is bit-identical to the layer-by-layer
-reference path (both run the same fixed-order kernel).
+The executor reads its chain from the detail branch of
+model.build_lightfuse(): each 1x1 conv there, with the ReLU after it, is one
+step, and the kernels come from model.layer_kernels, which checks every
+tensor against the graph. The chain is evaluated tile by tile: an input
+tile is loaded once, carried through every step in on-chip buffers, and
+only the final features are written back. Because 1x1 convs have no
+spatial extent, tiles never overlap and edge tiles are simply the residual
+rectangles, so any tiling is bit-identical to the layer-by-layer reference
+path (both run the same fixed-order kernel).
 
 On the host, whole tiles that sit side by side in one tile row are run
 together: as many as fit in nn_ops.CHUNK_PIXELS pixels (at least one) are
-gathered channels-first into one buffer and carried through d1..d3 and
-their ReLUs in place. Grouping is a numpy batching device only; it changes
-neither the output bits nor the traffic model below.
+gathered channels-first into one buffer and carried through the chain in
+place. Grouping is a numpy batching device only; it changes neither the
+output bits nor the traffic model below.
 
 Traffic is a cost model, not a measurement: byte counters increment at the
 points where a real accelerator would touch external memory, summed over
@@ -22,7 +25,6 @@ size of numpy's group buffers. The unfused schedule streams one pixel at a
 time per layer, so its working set is the widest (in + out) channel pair.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,14 @@ __all__ = [
 ]
 
 _BYTES_F32 = 4
+# The 1x1 convs of the detail branch, each followed by a ReLU, and the
+# channel widths along the chain (6, 32, 32, 3).
+_CHAIN = tuple(
+    layer for layer in dict(model.build_lightfuse().branches)["detail"] if layer.kind == "pointwise"
+)
+_WIDTHS = (_CHAIN[0].in_channels,) + tuple(layer.out_channels for layer in _CHAIN)
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
-_FUSED_PEAK_CHANNELS = model.DETAIL_CHANNELS[0] + model.DETAIL_CHANNELS[1] + model.DETAIL_CHANNELS[2]
+_FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 
 
 @dataclass(frozen=True)
@@ -86,27 +94,13 @@ def _tile_side(tile) -> int:
     return tile.s if isinstance(tile, TileSpec) else int(tile)
 
 
-def _detail_kernels(weights: dict):
-    chans = model.DETAIL_CHANNELS
-    kernels = []
-    for i, name in enumerate(model.DETAIL_LAYER_NAMES):
-        w = model.get_param(weights, f"{name}.weight")
-        b = model.get_param(weights, f"{name}.bias")
-        if w.shape != (chans[i], chans[i + 1]):
-            raise model.WeightFormatError(
-                f"shape mismatch for '{name}.weight': store {w.shape}, expected {(chans[i], chans[i + 1])}"
-            )
-        kernels.append(nn_ops.PointwiseKernel(w, b))
-    return kernels
-
-
 def _check_detail_input(x):
-    if not isinstance(x, np.ndarray) or x.ndim != 3 or x.shape[2] != model.DETAIL_CHANNELS[0]:
-        raise ValueError(f"detail-branch input must be (H, W, {model.DETAIL_CHANNELS[0]})")
+    if not isinstance(x, np.ndarray) or x.ndim != 3 or x.shape[2] != _WIDTHS[0]:
+        raise ValueError(f"detail-branch input must be (H, W, {_WIDTHS[0]})")
 
 
 def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
-    """All three 1x1 layers per tile before the next tile is touched.
+    """Every 1x1 layer of the chain per tile before the next tile is touched.
 
     Returns (output, TrafficReport). Off-chip traffic reads the input once
     and writes the output once regardless of tile size; intermediates stay
@@ -118,8 +112,8 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
     s = _tile_side(tile)
     if not 1 <= s <= min(h, w):
         raise ValueError(f"invalid tile size {s} for {h}x{w} input")
-    kernels = _detail_kernels(weights)
-    chans = model.DETAIL_CHANNELS
+    kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
+    chans = _WIDTHS
     reads = writes = 0
     for r0, r1, c0, c1 in tile_grid(h, w, s):
         npix = (r1 - r0) * (c1 - c0)
@@ -155,7 +149,7 @@ def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
     """Layer-by-layer reference path: every intermediate goes off chip."""
     _check_detail_input(x)
     h, w = x.shape[:2]
-    kernels = _detail_kernels(weights)
+    kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
     reads = writes = 0
     y = x
     for kern in kernels:
@@ -193,16 +187,3 @@ def fused_forward(graph, weights: dict, under, over, tile) -> tuple:
     tensor_core.require_finite(out, "model output")
     return out, traffic
 
-
-def time_paths(x: np.ndarray, weights: dict, tile, repetitions: int) -> dict:
-    """Mean wall-clock seconds per run for both detail-branch paths."""
-    results = {}
-    for label, fn in (
-        ("fused", lambda: run_detailnet_fused(x, weights, tile)),
-        ("unfused", lambda: run_detailnet_unfused(x, weights)),
-    ):
-        t0 = time.perf_counter()
-        for _ in range(repetitions):
-            fn()
-        results[label] = (time.perf_counter() - t0) / repetitions
-    return results

@@ -9,6 +9,7 @@ trial network of three separable convs.
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
 
 LAYER_KINDS = ("depthwise", "pointwise", "separable", "upsample_nn", "relu", "tanh", "add")
 
-# Canonical detail-branch structure; the tile-fused executor relies on it.
+# Detail-branch layer names and channel widths, input width first.
 DETAIL_LAYER_NAMES = ("d1", "d2", "d3")
 DETAIL_CHANNELS = (6, 32, 32, 3)
 
@@ -191,20 +192,40 @@ def get_param(weights: dict, key: str) -> np.ndarray:
         raise WeightFormatError(f"missing parameter '{key}'") from None
 
 
+def _param_of_shape(weights: dict, key: str, shape: tuple) -> np.ndarray:
+    arr = get_param(weights, key)
+    if arr.shape != shape:
+        raise WeightFormatError(f"shape mismatch for '{key}': store {arr.shape}, graph {shape}")
+    return arr
+
+
 def layer_kernels(layer: LayerSpec, weights: dict):
-    """Kernel objects for a parameterized layer, reading from the store."""
-    n = layer.name
+    """Kernel objects for a parameterized layer, reading from the store.
+
+    Tensors are read in param_entries order; each must have its graph shape.
+    """
+    params = [_param_of_shape(weights, key, shape) for key, shape, _ in param_entries(layer)]
     if layer.kind == "depthwise":
-        bias = get_param(weights, f"{n}.bias") if layer.bias else None
-        return (DepthwiseKernel(get_param(weights, f"{n}.weight"), bias, layer.stride),)
+        return (DepthwiseKernel(*params, stride=layer.stride),)
     if layer.kind == "pointwise":
-        return (PointwiseKernel(get_param(weights, f"{n}.weight"), get_param(weights, f"{n}.bias")),)
+        return (PointwiseKernel(*params),)
     if layer.kind == "separable":
-        return (
-            DepthwiseKernel(get_param(weights, f"{n}.dw.weight"), None, layer.stride),
-            PointwiseKernel(get_param(weights, f"{n}.pw.weight"), get_param(weights, f"{n}.pw.bias")),
-        )
-    raise ValueError(f"layer '{n}' has no kernels")
+        dw, pw, pb = params
+        return (DepthwiseKernel(dw, None, layer.stride), PointwiseKernel(pw, pb))
+    raise ValueError(f"layer '{layer.name}' has no kernels")
+
+
+def spatial_factor(layer: LayerSpec) -> Fraction:
+    """Output side length over input side length, on both spatial axes.
+
+    Left out of __all__: it is a per-layer rule inside run_branch and
+    cost_model.analyze, so per-function traces charge its time to them.
+    """
+    if layer.kind in ("depthwise", "separable"):
+        return Fraction(1, layer.stride)
+    if layer.kind == "upsample_nn":
+        return Fraction(2)
+    return Fraction(1)
 
 
 def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray) -> np.ndarray:
@@ -228,8 +249,14 @@ def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray) -> np.ndarray:
 
 
 def run_branch(layers, weights: dict, x: np.ndarray) -> np.ndarray:
+    """Run layers in order, asserting each output size against spatial_factor."""
     for layer in layers:
-        x = run_layer(layer, weights, x)
+        y = run_layer(layer, weights, x)
+        f = spatial_factor(layer)
+        eh, ew = x.shape[0] * f, x.shape[1] * f
+        if y.shape[:2] != (eh, ew):
+            raise RuntimeError(f"layer '{layer.name}': expected {eh}x{ew} output, got {y.shape[:2]}")
+        x = y
     return x
 
 
@@ -247,29 +274,13 @@ def check_pair(graph: ModelGraph, under: np.ndarray, over: np.ndarray) -> None:
 def forward(graph: ModelGraph, weights: dict, under: np.ndarray, over: np.ndarray) -> np.ndarray:
     """Evaluate the graph on an exposure pair (underexposed image first).
 
-    Spatial bookkeeping is asserted after every layer; the result is
+    run_branch asserts the size of every layer's output; the result is
     (H, W, 3) with values in (-1, 1) for merged graphs.
     """
     check_pair(graph, under, over)
     x = np.concatenate((under, over), axis=2)
     h, w = x.shape[:2]
-    outs = []
-    for _, layers in graph.branches:
-        y = x
-        eh, ew = h, w
-        for layer in layers:
-            y = run_layer(layer, weights, y)
-            if layer.kind in ("depthwise", "separable"):
-                eh //= layer.stride
-                ew //= layer.stride
-            elif layer.kind == "upsample_nn":
-                eh *= 2
-                ew *= 2
-            if y.shape[:2] != (eh, ew):
-                raise RuntimeError(
-                    f"layer '{layer.name}': expected {eh}x{ew} output, got {y.shape[:2]}"
-                )
-        outs.append(y)
+    outs = [run_branch(layers, weights, x) for _, layers in graph.branches]
     if graph.merge_add_tanh:
         if len(outs) != 2:
             raise RuntimeError("merge stage requires exactly two branches")
@@ -291,11 +302,7 @@ def save_weights(weights: dict, graph: ModelGraph) -> bytes:
     blob = bytearray(_MAGIC)
     blob += struct.pack("<I", len(entries))
     for key, shape, _ in entries:
-        arr = get_param(weights, key)
-        if arr.shape != shape:
-            raise WeightFormatError(
-                f"shape mismatch for '{key}': store {arr.shape}, graph {shape}"
-            )
+        arr = _param_of_shape(weights, key, shape)
         name = key.encode("utf-8")
         blob += struct.pack("<H", len(name))
         blob += name
@@ -306,7 +313,7 @@ def save_weights(weights: dict, graph: ModelGraph) -> bytes:
 
 
 def load_weights(data: bytes, graph: ModelGraph) -> dict:
-    """Parse an LFW1 blob and validate every tensor shape against the graph."""
+    """Parse an LFW1 blob; every tensor must match the graph's shape and be finite."""
     pos = 0
 
     def take(n, what):
@@ -342,6 +349,8 @@ def load_weights(data: bytes, graph: ModelGraph) -> dict:
             raise WeightFormatError(
                 f"shape mismatch for '{key}': file {store[key].shape}, graph {shape}"
             )
+        if not np.isfinite(store[key]).all():
+            raise WeightFormatError(f"non-finite values in tensor '{key}'")
     known = {key for key, _, _ in expected}
     for name in store:
         if name not in known:

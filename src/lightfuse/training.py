@@ -177,31 +177,25 @@ def _backward(graph, weights, branch_recs, merge_pre, out_grad):
     for recs, g in zip(branch_recs, branch_grads):
         for layer, x_in, mid in reversed(recs):
             kind = layer.kind
-            name = layer.name
+            pgrads = ()  # in param_entries order; a bias-free depthwise drops its None
             if kind == "depthwise":
                 (kern,) = model.layer_kernels(layer, weights)
-                g, dw, db = nn_ops.depthwise_backward(x_in, kern, g)
-                grads[f"{name}.weight"] = dw
-                if layer.bias:
-                    grads[f"{name}.bias"] = db
+                g, *pgrads = nn_ops.depthwise_backward(x_in, kern, g)
             elif kind == "pointwise":
                 (kern,) = model.layer_kernels(layer, weights)
-                g, dw, db = nn_ops.pointwise_backward(x_in, kern, g)
-                grads[f"{name}.weight"] = dw
-                grads[f"{name}.bias"] = db
+                g, *pgrads = nn_ops.pointwise_backward(x_in, kern, g)
             elif kind == "separable":
                 dwk, pwk = model.layer_kernels(layer, weights)
                 g, dpw, dpb = nn_ops.pointwise_backward(mid, pwk, g)
-                grads[f"{name}.pw.weight"] = dpw
-                grads[f"{name}.pw.bias"] = dpb
                 g, ddw, _ = nn_ops.depthwise_backward(x_in, dwk, g)
-                grads[f"{name}.dw.weight"] = ddw
+                pgrads = (ddw, dpw, dpb)
             elif kind == "upsample_nn":
                 g = nn_ops.upsample_backward(g)
             elif kind == "relu":
                 g = nn_ops.relu_backward(x_in, g)
             elif kind == "tanh":
                 g = nn_ops.tanh_backward(x_in, g)
+            grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))
     return grads
 
 

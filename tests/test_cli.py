@@ -236,3 +236,35 @@ def test_train_scene_without_label_is_skipped(tmp_path, capsys):
 
 def test_train_missing_directory(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope"), str(tmp_path / "w.lfw")]) == 2
+
+
+def test_fuse_non_finite_weights_fail_before_any_forward_pass(tmp_path, capsys):
+    from unittest import mock
+
+    from lightfuse import fusion
+
+    graph = build_lightfuse()
+    store = init_weights(graph, 0)
+    store["g3.pw.bias"][1] = np.inf
+    weights = tmp_path / "inf.lfw"
+    weights.write_bytes(save_weights(store, graph))
+    write_ppm(tmp_path / "u.ppm", rand_img(16, 16, 10))
+    write_ppm(tmp_path / "o.ppm", rand_img(16, 16, 11))
+    with mock.patch.object(fusion, "fused_forward") as fused_forward:
+        code = cli.main([
+            "fuse", str(tmp_path / "u.ppm"), str(tmp_path / "o.ppm"), str(tmp_path / "x.ppm"),
+            "--weights", str(weights),
+        ])
+    assert code == 3
+    assert not fused_forward.called
+    assert "g3.pw.bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "16x16", "--seed", "-1"], "--seed"),
+    (["train", "data", "w.lfw", "--seed", "-1"], "--seed"),
+    (["train", "data", "w.lfw", "--steps", "-3"], "--steps"),
+])
+def test_negative_seed_and_steps_are_usage_errors(argv, flag, capsys):
+    assert cli.main(argv) == 1
+    assert flag in capsys.readouterr().err

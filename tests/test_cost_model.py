@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightfuse import cost_model
 from lightfuse.cost_model import (
@@ -14,7 +16,16 @@ from lightfuse.cost_model import (
     render_kv,
     render_report,
 )
-from lightfuse.model import LayerSpec, ModelGraph, build_lightfuse, build_tcnn, init_weights, param_entries
+from lightfuse.model import (
+    LayerSpec,
+    ModelGraph,
+    build_lightfuse,
+    build_tcnn,
+    init_weights,
+    param_entries,
+    run_layer,
+    spatial_factor,
+)
 
 
 def test_standard_conv_flops_examples():
@@ -148,3 +159,29 @@ def test_convention_validation():
         FlopsConvention(mac_factor=3)
     with pytest.raises(ValueError):
         FlopsConvention(spatial_mode="weird")
+
+
+@given(h=st.integers(1, 8).map(lambda n: 8 * n), w=st.integers(1, 8).map(lambda n: 8 * n))
+@settings(max_examples=15, deadline=None)
+def test_spatial_factor_and_exact_flops_match_execution(h, w):
+    """The one size rule against run_layer, and exact FLOPs against executed work."""
+    for graph in (build_lightfuse(), build_tcnn()):
+        store = init_weights(graph, 0)
+        x = np.random.default_rng(h * w).uniform(-1, 1, size=(h, w, 6)).astype(np.float32)
+        out_shape = {}
+        for _, layers in graph.branches:
+            y = x
+            for layer in layers:
+                out = run_layer(layer, store, y)
+                area = Fraction(out.shape[0] * out.shape[1], y.shape[0] * y.shape[1])
+                assert area == spatial_factor(layer) ** 2, layer.name
+                out_shape[layer.name] = out.shape
+                y = out
+        for e in analyze(graph, CONVENTIONS["exact"]).entries:
+            oh, ow, oc = out_shape[e.name.split(".")[0]]
+            if e.category == "upsample":
+                assert e.flops_per_pixel * h * w == oh * ow * oc, e.name
+            else:
+                # one multiply per weight element at every output pixel
+                multiplies = store[f"{e.name}.weight"].size
+                assert e.flops_per_pixel * h * w == 2 * multiplies * oh * ow, e.name

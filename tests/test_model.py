@@ -273,3 +273,37 @@ def test_round_trip_many_random_stores():
         again = load_weights(save_weights(w, g), g)
         for k in w:
             assert again[k].tobytes() == w[k].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_tensor_naming_it(bad):
+    g = build_lightfuse()
+    w = init_weights(g, 0)
+    w["d2.weight"][3, 5] = bad
+    with pytest.raises(WeightFormatError, match=r"non-finite.*'d2\.weight'"):
+        load_weights(save_weights(w, g), g)
+
+
+# ------------------------------------------------ caller-built weight stores
+
+def _forward_via_fusion(g, w, u, o):
+    from lightfuse import fusion
+
+    return fusion.fused_forward(g, w, u, o, 4)
+
+
+def _loss_and_grads(g, w, u, o):
+    from lightfuse import training
+
+    return training.loss_and_grads(g, w, u, o, u)
+
+
+@pytest.mark.parametrize("run", [forward, _forward_via_fusion, _loss_and_grads])
+def test_wrong_shaped_tensor_names_its_key(run):
+    g = build_lightfuse()
+    w = init_weights(g, 0)
+    w["d1.weight"] = np.zeros((6, 16), dtype=np.float32)
+    w["d1.bias"] = np.zeros(16, dtype=np.float32)
+    u, o = rand_pair(16, 8)
+    with pytest.raises(WeightFormatError, match=r"'d1\.weight'"):
+        run(g, w, u, o)
