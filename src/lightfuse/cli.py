@@ -115,6 +115,7 @@ def cmd_fuse(args) -> int:
     pad_w = (-w) % 8
     u = tensor_core.normalize(under)
     o = tensor_core.normalize(over)
+    del under, over
     if pad_h or pad_w:
         u = np.pad(u, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
         o = np.pad(o, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")

@@ -183,7 +183,10 @@ def fused_forward(graph, weights: dict, under, over, tile) -> tuple:
     x = np.concatenate((under, over), axis=2)
     g_out = model.run_branch(branches["global"], weights, x)
     d_out, traffic = run_detailnet_fused(x, weights, tile)
-    out = nn_ops.tanh(nn_ops.add(g_out, d_out))
+    del x
+    # both branches compute in result_type(input, weights), so the merge can
+    # overwrite the detail output without a cast
+    out = nn_ops.tanh(nn_ops.add(g_out, d_out, out=d_out), out=d_out)
     tensor_core.require_finite(out, "model output")
     return out, traffic
 

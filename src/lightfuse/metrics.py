@@ -5,6 +5,15 @@ included in every score, matching what an external scorer would see on
 files. SSIM is the standard single-scale formulation: 11x11 Gaussian window
 with sigma 1.5, C1 = (0.01*255)^2, C2 = (0.03*255)^2, valid windows only
 (no padding), averaged over windows then channels.
+
+SSIM runs per channel in horizontal stripes of output rows, so its float64
+working set does not grow with image height: a stripe fills five maps (x,
+y, x*x, y*y, x*y) over its rows plus the 10 halo rows into preallocated
+buffers and filters them in place. Each pass keeps the pinned order - a
+zero start, then + kernel[u] * x for u ascending, every product rounded
+before its add - and each stripe writes its rows of one contiguous
+(H-10, W-10) SSIM map, whose mean is taken once per channel. The result is
+therefore the same float as filtering whole images.
 """
 
 import math
@@ -23,6 +32,11 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _C1 = (0.01 * 255) ** 2
 _C2 = (0.03 * 255) ** 2
+# Input pixels per SSIM stripe: a stripe is max(1, SSIM_STRIPE_PIXELS // width)
+# output rows, so its float64 working set stays near cache size at any width.
+# At 1021x1027 (2-vCPU x86 host) 8192 took 0.41-0.46 s, against 0.61 s at
+# 4096 and 0.71 s at 32768.
+SSIM_STRIPE_PIXELS = 8192
 
 
 def _check_same_images(a, b):
@@ -36,8 +50,10 @@ def _check_same_images(a, b):
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """10*log10(255^2 / MSE) over all interleaved values; inf when identical."""
     _check_same_images(a, b)
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    diff = a.astype(np.float64)
+    np.subtract(diff, b, out=diff)
+    np.multiply(diff, diff, out=diff)
+    mse = float(np.mean(diff))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 ** 2 / mse)
@@ -49,18 +65,24 @@ def _gaussian_window(n=_SSIM_WINDOW, sigma=_SSIM_SIGMA):
     return g / g.sum()
 
 
-def _filter_valid(x, kernel):
-    """Separable 2D correlation, valid windows only."""
+def _filter_rows(maps, kernel, tmp, wide, out, narrow):
+    """Separable valid correlation of every map into out.
+
+    maps is (M, rows + n - 1, W); tmp and wide are (M, rows, W) and out and
+    narrow (M, rows, W - n + 1); wide and narrow hold products. Each pass
+    starts from zero and adds kernel[u] * x for u ascending, one rounded
+    product at a time.
+    """
     n = kernel.size
-    oh = x.shape[0] - n + 1
-    ow = x.shape[1] - n + 1
-    tmp = np.zeros((oh, x.shape[1]))
+    rows, ow = out.shape[1:]
+    tmp[...] = 0.0
     for u in range(n):
-        tmp += kernel[u] * x[u : u + oh, :]
-    out = np.zeros((oh, ow))
+        np.multiply(maps[:, u : u + rows], kernel[u], out=wide)
+        np.add(tmp, wide, out=tmp)
+    out[...] = 0.0
     for v in range(n):
-        out += kernel[v] * tmp[:, v : v + ow]
-    return out
+        np.multiply(tmp[:, :, v : v + ow], kernel[v], out=narrow)
+        np.add(out, narrow, out=out)
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,18 +91,50 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if min(a.shape[0], a.shape[1]) < _SSIM_WINDOW:
         raise ValueError(f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM")
     win = _gaussian_window()
+    halo = _SSIM_WINDOW - 1
+    h, w = a.shape[:2]
+    oh, ow = h - halo, w - halo
+    stripe = min(oh, max(1, SSIM_STRIPE_PIXELS // w))
+    # maps holds x, y, x*x, y*y and x*y over one stripe plus its halo rows
+    maps = np.empty((5, stripe + halo, w))
+    tmp = np.empty((5, stripe, w))
+    wide = np.empty((5, stripe, w))
+    filt = np.empty((5, stripe, ow))
+    narrow = np.empty((5, stripe, ow))
+    smap = np.empty((oh, ow))
     channel_means = []
     for c in range(a.shape[2]):
-        x = a[:, :, c].astype(np.float64)
-        y = b[:, :, c].astype(np.float64)
-        mx = _filter_valid(x, win)
-        my = _filter_valid(y, win)
-        vx = _filter_valid(x * x, win) - mx * mx
-        vy = _filter_valid(y * y, win) - my * my
-        cxy = _filter_valid(x * y, win) - mx * my
-        smap = ((2.0 * mx * my + _C1) * (2.0 * cxy + _C2)) / (
-            (mx * mx + my * my + _C1) * (vx + vy + _C2)
-        )
+        for r0 in range(0, oh, stripe):
+            rows = min(stripe, oh - r0)
+            m = maps[:, : rows + halo]
+            m[0] = a[r0 : r0 + rows + halo, :, c]
+            m[1] = b[r0 : r0 + rows + halo, :, c]
+            np.multiply(m[0], m[0], out=m[2])
+            np.multiply(m[1], m[1], out=m[3])
+            np.multiply(m[0], m[1], out=m[4])
+            f = filt[:, :rows]
+            s = narrow[:, :rows]
+            _filter_rows(m, win, tmp[:, :rows], wide[:, :rows], f, s)
+            mx, my, vx, vy, cxy = f
+            mx2, my2, mxy = s[:3]
+            # vx, vy, cxy: filtered second moments minus the squared means
+            np.subtract(vx, np.multiply(mx, mx, out=mx2), out=vx)
+            np.subtract(vy, np.multiply(my, my, out=my2), out=vy)
+            np.subtract(cxy, np.multiply(mx, my, out=mxy), out=cxy)
+            # ((2*mx*my + C1) * (2*cxy + C2)) / ((mx^2 + my^2 + C1) * (vx + vy + C2))
+            num = smap[r0 : r0 + rows]
+            np.multiply(mx, 2.0, out=num)
+            np.multiply(num, my, out=num)
+            np.add(num, _C1, out=num)
+            np.multiply(cxy, 2.0, out=cxy)
+            np.add(cxy, _C2, out=cxy)
+            np.multiply(num, cxy, out=num)
+            den = np.add(mx2, my2, out=mx2)
+            np.add(den, _C1, out=den)
+            np.add(vx, vy, out=vx)
+            np.add(vx, _C2, out=vx)
+            np.multiply(den, vx, out=den)
+            np.divide(num, den, out=num)
         channel_means.append(float(smap.mean()))
     return float(np.mean(channel_means))
 

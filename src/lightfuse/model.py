@@ -333,7 +333,7 @@ def load_weights(data: bytes, graph: ModelGraph) -> dict:
         name = take(name_len, "tensor name").decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1, f"ndim of '{name}'"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"dims of '{name}'"))
-        size = int(np.prod(dims)) if ndim else 1
+        size = math.prod(dims)
         payload = take(4 * size, f"payload of '{name}'")
         if name in store:
             raise WeightFormatError(f"duplicate tensor '{name}'")

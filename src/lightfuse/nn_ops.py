@@ -176,14 +176,16 @@ def relu(x: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def tanh(x: np.ndarray, out=None) -> np.ndarray:
+    """tanh(x); pass out=x to apply it in place."""
+    return np.tanh(x, out=out)
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def add(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a + b for equal shapes; pass out=a or out=b to add in place."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
+    return np.add(a, b, out=out)
 
 
 def pointwise_backward(x, kern: PointwiseKernel, grad):

@@ -18,6 +18,8 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\r\n"
+_COMMENT = ord("#")
+_HEADER_GAP = _WHITESPACE + b"#"
 
 
 class PpmParseError(ValueError):
@@ -27,8 +29,9 @@ class PpmParseError(ValueError):
 def decode_ppm(data: bytes) -> np.ndarray:
     """Decode a binary P6 PPM file into a uint8 (H, W, 3) image.
 
-    Only maxval 255 is accepted. Error messages name the offending field
-    (magic, width, height, maxval, payload).
+    Only maxval 255 is accepted. A '#' comment, running to the end of its
+    line, may stand wherever whitespace may before the maxval token. Error
+    messages name the offending field (magic, width, height, maxval, payload).
     """
     if len(data) < 2 or data[:2] != b"P6":
         raise PpmParseError("magic: expected 'P6'")
@@ -38,10 +41,13 @@ def decode_ppm(data: bytes) -> np.ndarray:
 
     def token(field):
         nonlocal pos
-        while pos < len(data) and data[pos] in _WHITESPACE:
+        while pos < len(data) and data[pos] in _HEADER_GAP:
+            if data[pos] == _COMMENT:
+                while pos < len(data) and data[pos] not in b"\r\n":
+                    pos += 1
             pos += 1
         start = pos
-        while pos < len(data) and data[pos] not in _WHITESPACE:
+        while pos < len(data) and data[pos] not in _HEADER_GAP:
             pos += 1
         tok = data[start:pos]
         if not tok.isdigit():
@@ -61,17 +67,14 @@ def decode_ppm(data: bytes) -> np.ndarray:
         raise PpmParseError("payload: missing whitespace after maxval")
     pos += 1  # exactly one whitespace byte separates header and payload
 
-    payload = data[pos:]
+    have = len(data) - pos
     need = width * height * 3
-    if len(payload) < need:
-        raise PpmParseError(
-            f"payload: truncated, expected {need} bytes, got {len(payload)}"
-        )
-    if len(payload) > need:
-        raise PpmParseError(
-            f"payload: {len(payload) - need} trailing bytes after pixel data"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    if have < need:
+        raise PpmParseError(f"payload: truncated, expected {need} bytes, got {have}")
+    if have > need:
+        raise PpmParseError(f"payload: {have - need} trailing bytes after pixel data")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+    return pixels.reshape(height, width, 3).copy()
 
 
 def encode_ppm(img: np.ndarray) -> bytes:
@@ -84,16 +87,24 @@ def encode_ppm(img: np.ndarray) -> bytes:
 def normalize(img: np.ndarray) -> np.ndarray:
     """Map 8-bit values onto [-1, 1]: v -> v / 127.5 - 1, float32."""
     _check_image8(img)
-    return img.astype(np.float32) / 127.5 - 1.0
+    t = img.astype(np.float32)
+    np.divide(t, 127.5, out=t)
+    np.subtract(t, 1.0, out=t)
+    return t
 
 
 def denormalize(t: np.ndarray) -> np.ndarray:
     """Invert normalize(): clamp to [-1, 1], scale back, round half away from zero."""
     if not isinstance(t, np.ndarray) or t.ndim != 3 or t.shape[2] != 3:
         raise ValueError("denormalize expects a (H, W, 3) tensor")
-    y = np.clip(t.astype(np.float64), -1.0, 1.0) * 127.5 + 127.5
+    y = t.astype(np.float64)
+    np.clip(y, -1.0, 1.0, out=y)
+    np.multiply(y, 127.5, out=y)
+    np.add(y, 127.5, out=y)
     # y >= 0 after the clamp, so floor(y + 0.5) rounds halves away from zero
-    return np.floor(y + 0.5).astype(np.uint8)
+    np.add(y, 0.5, out=y)
+    np.floor(y, out=y)
+    return y.astype(np.uint8)
 
 
 def require_finite(arr: np.ndarray, what: str = "tensor") -> None:

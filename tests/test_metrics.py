@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lightfuse import metrics
 from lightfuse.metrics import extract_patches, format_scores, psnr, select_extreme_pair, ssim
 
 
@@ -153,3 +158,119 @@ def test_extract_patches_small_size_grid():
 def test_format_scores_three_decimals():
     assert format_scores(math.inf, 1.0) == "psnr=inf ssim=1.000"
     assert format_scores(48.13083, 0.79695) == "psnr=48.131 ssim=0.797"
+
+
+# ------------------------------------------------------ whole-image oracles
+# The whole-image formulation that the striped ssim and the in-place psnr
+# replace. Each map is filtered over the full image, from a zero start,
+# adding kernel[u] * x for u ascending; the library must return the same
+# floats, not merely close ones.
+
+def _oracle_filter_valid(x, kernel):
+    n = kernel.size
+    oh = x.shape[0] - n + 1
+    ow = x.shape[1] - n + 1
+    tmp = np.zeros((oh, x.shape[1]))
+    for u in range(n):
+        tmp += kernel[u] * x[u : u + oh, :]
+    out = np.zeros((oh, ow))
+    for v in range(n):
+        out += kernel[v] * tmp[:, v : v + ow]
+    return out
+
+
+def oracle_ssim(a, b):
+    c1 = (0.01 * 255) ** 2
+    c2 = (0.03 * 255) ** 2
+    r = np.arange(11, dtype=np.float64) - 5.0
+    win = np.exp(-(r * r) / (2.0 * 1.5 * 1.5))
+    win = win / win.sum()
+    channel_means = []
+    for c in range(a.shape[2]):
+        x = a[:, :, c].astype(np.float64)
+        y = b[:, :, c].astype(np.float64)
+        mx = _oracle_filter_valid(x, win)
+        my = _oracle_filter_valid(y, win)
+        vx = _oracle_filter_valid(x * x, win) - mx * mx
+        vy = _oracle_filter_valid(y * y, win) - my * my
+        cxy = _oracle_filter_valid(x * y, win) - mx * my
+        smap = ((2.0 * mx * my + c1) * (2.0 * cxy + c2)) / (
+            (mx * mx + my * my + c1) * (vx + vy + c2)
+        )
+        channel_means.append(float(smap.mean()))
+    return float(np.mean(channel_means))
+
+
+def oracle_psnr(a, b):
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    mse = float(np.mean(diff * diff))
+    if mse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(255.0 ** 2 / mse)
+
+
+def image_pair(h, w, kind, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    if kind == "identical":
+        return a, a.copy()
+    if kind == "constant":
+        lo, hi = sorted(rng.integers(0, 256, size=2))
+        return np.full((h, w, 3), lo, np.uint8), np.full((h, w, 3), hi, np.uint8)
+    return a, rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+
+
+def assert_matches_oracles(a, b):
+    assert ssim(a, b) == oracle_ssim(a, b)
+    assert psnr(a, b) == oracle_psnr(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.integers(11, 90),
+    w=st.integers(11, 90),
+    kind=st.sampled_from(["identical", "constant", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.just(metrics.SSIM_STRIPE_PIXELS), st.integers(1, 1000)),
+)
+@example(h=11, w=11, kind="random", seed=0, budget=metrics.SSIM_STRIPE_PIXELS)
+@example(h=90, w=90, kind="random", seed=1, budget=1)
+def test_ssim_and_psnr_equal_oracles(h, w, kind, seed, budget):
+    # small budgets split even these sizes into many stripes, down to one row
+    a, b = image_pair(h, w, kind, seed)
+    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget):
+        assert_matches_oracles(a, b)
+
+
+_STRIPE = 8
+_STRIPE_W = metrics.SSIM_STRIPE_PIXELS // _STRIPE
+
+
+@pytest.mark.parametrize(
+    "h, w",
+    [
+        (11, 64),  # one output row
+        (10 + 2 * _STRIPE - 1, _STRIPE_W),  # residual stripe one row short
+        (10 + 2 * _STRIPE, _STRIPE_W),  # whole stripes only
+        (10 + 2 * _STRIPE + 1, _STRIPE_W),  # residual stripe of one row
+        (14, metrics.SSIM_STRIPE_PIXELS // 2 + 1),  # one row per stripe
+    ],
+)
+def test_stripe_boundaries_at_the_module_budget_equal_oracles(h, w):
+    assert metrics.SSIM_STRIPE_PIXELS // _STRIPE_W == _STRIPE
+    for kind in ("identical", "constant", "random"):
+        assert_matches_oracles(*image_pair(h, w, kind, h * w))
+
+
+def test_ssim_memory_is_bounded_by_its_output_map():
+    # one float64 SSIM map of the valid windows, plus stripe buffers that
+    # do not grow with image height
+    a, b = image_pair(512, 512, "random", 12)
+    oh = ow = 512 - 10
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * oh * ow + int(2.5 * 2**20)

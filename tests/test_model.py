@@ -307,3 +307,13 @@ def test_wrong_shaped_tensor_names_its_key(run):
     u, o = rand_pair(16, 8)
     with pytest.raises(WeightFormatError, match=r"'d1\.weight'"):
         run(g, w, u, o)
+
+
+@pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])
+def test_load_overflowing_dims_is_truncated_payload(dims):
+    # the element count is far beyond the blob, however large it is
+    name = b"g1.weight"
+    blob = b"LFW1" + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+    blob += struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    with pytest.raises(WeightFormatError, match=r"truncated file while reading payload of 'g1\.weight'"):
+        load_weights(blob, build_lightfuse())

@@ -123,3 +123,80 @@ def test_require_finite_raises_on_nan():
     bad = np.array([1.0, np.nan], dtype=np.float32)
     with pytest.raises(ValueError, match="non-finite"):
         require_finite(bad, "x")
+
+
+# ------------------------------------------------------------ header comments
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P6\n# gimp\n2 1\n255\n",
+        b"P6 2 # before height\n1\n255\n",
+        b"P6\n2 1\n# before maxval\n255\n",
+        b"P6\n2 1 #carriage return ends it\r255\n",
+        b"P6\n2# right after a token\n1\n255\n",
+        b"P6\n#one\n#two\n2\n#three\n1 255\n",
+    ],
+)
+def test_decode_skips_comments_before_each_token(header):
+    payload = bytes([255, 0, 0, 0, 255, 0])
+    img = decode_ppm(header + payload)
+    assert img.tobytes() == payload
+    assert img.shape == (1, 2, 3)
+
+
+def test_decode_hash_byte_in_payload_is_pixel_data():
+    payload = b"#\n#" + bytes([35, 10, 0])
+    img = decode_ppm(b"P6\n# comment\n2 1\n255\n" + payload)
+    assert img.tobytes() == payload
+
+
+def test_decode_comment_running_to_end_of_file_names_field():
+    with pytest.raises(PpmParseError, match="maxval"):
+        decode_ppm(b"P6\n2 1\n# no maxval follows")
+
+
+def test_decode_returns_writable_copy():
+    data = b"P6\n1 1\n255\n" + bytes([1, 2, 3])
+    img = decode_ppm(data)
+    img[0, 0, 0] = 9
+    assert data.endswith(bytes([1, 2, 3]))
+
+
+# -------------------------------------------- in-place value mapping vs seed
+
+def _seed_normalize(img):
+    return img.astype(np.float32) / 127.5 - 1.0
+
+
+def _seed_denormalize(t):
+    y = np.clip(t.astype(np.float64), -1.0, 1.0) * 127.5 + 127.5
+    return np.floor(y + 0.5).astype(np.uint8)
+
+
+def _near(values, dtype):
+    v = np.asarray(values, dtype=dtype)
+    return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+def test_normalize_matches_seed_formula_on_all_levels():
+    img = np.arange(256, dtype=np.uint8).repeat(3).reshape(16, 16, 3)
+    got = normalize(img)
+    assert got.dtype == np.float32
+    assert got.tobytes() == _seed_normalize(img).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_denormalize_matches_seed_formula_at_edges_and_halves(dtype):
+    levels = np.arange(256)
+    # t*127.5 + 127.5 = k + 0.5 sits on a rounding half for every k
+    halves = (levels - 127) / 127.5
+    edges = [-1.0, 1.0, -1.5, 1.5, 0.0, -0.0, 1e30, -1e30]
+    levels_as_t = normalize(np.arange(256, dtype=np.uint8).repeat(3).reshape(16, 16, 3))
+    t = np.concatenate([_near(halves, dtype), _near(edges, dtype), levels_as_t.ravel().astype(dtype)])
+    t = t.reshape(-1, 1, 3)
+    before = t.tobytes()
+    got = denormalize(t)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == _seed_denormalize(t).tobytes()
+    assert t.tobytes() == before
