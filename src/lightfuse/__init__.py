@@ -1,7 +1,15 @@
 """Lightweight dual-exposure fusion: engine, cost model, tiled executor, CLI."""
 
 from .cost_model import CONVENTIONS, FlopsConvention, analyze, flops_ds_conv, flops_standard_conv, params_of
-from .fusion import TileSpec, TrafficReport, fused_forward, run_detailnet_fused, run_detailnet_unfused, sweep_tile_sizes
+from .fusion import (
+    TileSpec,
+    TrafficReport,
+    fuse_images,
+    fused_forward,
+    run_detailnet_fused,
+    run_detailnet_unfused,
+    sweep_tile_sizes,
+)
 from .metrics import extract_patches, psnr, select_extreme_pair, ssim
 from .model import (
     LayerSpec,

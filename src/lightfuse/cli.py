@@ -106,23 +106,10 @@ def _read_image(path) -> np.ndarray:
 def cmd_fuse(args) -> int:
     under = _read_image(args.under)
     over = _read_image(args.over)
-    if under.shape != over.shape:
-        raise ValueError(f"dimension mismatch: {under.shape[:2]} vs {over.shape[:2]}")
     graph = model.build_lightfuse()
     weights = model.load_weights(Path(args.weights).read_bytes(), graph)
-    h, w = under.shape[:2]
-    pad_h = (-h) % 8
-    pad_w = (-w) % 8
-    u = tensor_core.normalize(under)
-    o = tensor_core.normalize(over)
-    del under, over
-    if pad_h or pad_w:
-        u = np.pad(u, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
-        o = np.pad(o, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
-    tile = min(args.tile_size, u.shape[0], u.shape[1])
-    out, traffic = fusion.fused_forward(graph, weights, u, o, tile)
-    out = out[:h, :w]
-    Path(args.out).write_bytes(tensor_core.encode_ppm(tensor_core.denormalize(out)))
+    fused, traffic = fusion.fuse_images(graph, weights, under, over, args.tile_size)
+    Path(args.out).write_bytes(tensor_core.encode_ppm(fused))
     print(traffic.dump())
     return EXIT_OK
 

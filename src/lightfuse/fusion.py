@@ -23,8 +23,21 @@ accelerator's per-tile working set - buffers preallocated for a full s x s
 tile at the input width plus the two widest intermediate widths - not the
 size of numpy's group buffers. The unfused schedule streams one pixel at a
 time per layer, so its working set is the widest (in + out) channel pair.
+
+A whole forward pass (fused_forward, and fuse_images for 8-bit images) runs
+in horizontal stripes of output rows, so no full-size intermediate exists.
+Stripe heights are multiples of lcm(8, s), and a residual shorter than s
+joins the stripe above, so every stripe is a valid run_detailnet_fused input
+and the stripes' tile grids add up to the whole image's. The global branch
+of a stripe starting at row r0 > 0 runs on input rows [r0 - 8, r1): a
+stride-2 3x3 layer reads one row above each output row's centre, so only
+output row 0 of g1, g2 and g3 sees the window's zero padding, and that one
+g3 row is the 8 output rows dropped after the upsampling. The bottom
+padding of an even-height input is never read. Every kept row is therefore
+the one model.forward computes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +52,7 @@ __all__ = [
     "run_detailnet_unfused",
     "sweep_tile_sizes",
     "fused_forward",
+    "fuse_images",
 ]
 
 _BYTES_F32 = 4
@@ -50,6 +64,15 @@ _CHAIN = tuple(
 _WIDTHS = (_CHAIN[0].in_channels,) + tuple(layer.out_channels for layer in _CHAIN)
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
+# The graphs the stripe halo rule holds for.
+_FUSION_GRAPHS = (model.build_lightfuse(True), model.build_lightfuse(False))
+
+# Output pixels per forward stripe (padded width times rows, at least
+# lcm(8, s) rows); the stripe buffers of a fuse at W=1032 trace at ~8.5 MiB.
+# On a 1021x1027 fuse + eval loop (2-vCPU x86 host) fuse time stayed within
+# noise from 32768 to 1048576, while peak RSS went 54 MB at 65536, 57 MB
+# here, 70 MB at 262144 and 98 MB at 524288.
+FUSE_STRIPE_PIXELS = 131072
 
 
 @dataclass(frozen=True)
@@ -90,8 +113,11 @@ def tile_grid(height: int, width: int, s: int):
     ]
 
 
-def _tile_side(tile) -> int:
-    return tile.s if isinstance(tile, TileSpec) else int(tile)
+def _tile_side(tile, h: int, w: int) -> int:
+    s = tile.s if isinstance(tile, TileSpec) else int(tile)
+    if not 1 <= s <= min(h, w):
+        raise ValueError(f"invalid tile size {s} for {h}x{w} input")
+    return s
 
 
 def _check_detail_input(x):
@@ -109,9 +135,7 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
     """
     _check_detail_input(x)
     h, w = x.shape[:2]
-    s = _tile_side(tile)
-    if not 1 <= s <= min(h, w):
-        raise ValueError(f"invalid tile size {s} for {h}x{w} input")
+    s = _tile_side(tile, h, w)
     kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
     chans = _WIDTHS
     reads = writes = 0
@@ -165,28 +189,105 @@ def sweep_tile_sizes(dims: tuple, s_values) -> list:
     h, w = dims
     rows = []
     for s in s_values:
-        if not 1 <= s <= min(h, w):
-            raise ValueError(f"invalid tile size {s} for {h}x{w} input")
+        _tile_side(s, h, w)
         rows.append((s, s * s * _FUSED_PEAK_CHANNELS * _BYTES_F32))
     return rows
 
 
-def fused_forward(graph, weights: dict, under, over, tile) -> tuple:
-    """Full forward pass with the detail branch run through the tiled executor.
+def _stripes(h: int, w: int, s: int, divisor: int):
+    """[r0, r1) output-row ranges of the forward stripes of an h x w input."""
+    unit = math.lcm(divisor, s)
+    step = unit * max(1, FUSE_STRIPE_PIXELS // (unit * w))
+    bounds = list(range(0, h, step)) + [h]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < s:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
-    Bit-identical to model.forward for the dual-branch graph.
+
+def _run_stripes(graph, weights: dict, h: int, w: int, tile, rows_in, rows_out) -> TrafficReport:
+    """The forward pass of an h x w input (multiples of 8), stripe by stripe.
+
+    rows_in(a, b) returns input rows [a, b) as an (b - a, w, 6) tensor;
+    rows_out(r0, r1, y) receives the finite merged output rows [r0, r1).
+    Returns the summed TrafficReport, equal to a whole-image run's.
     """
-    branches = dict(graph.branches)
-    if not graph.merge_add_tanh or set(branches) != {"global", "detail"}:
+    if graph not in _FUSION_GRAPHS:
         raise ValueError("tile-fused execution requires the dual-branch fusion graph")
+    global_layers = dict(graph.branches)["global"]
+    s = _tile_side(tile, h, w)
+    halo = graph.spatial_divisor  # one g3 row
+    reads = writes = peak = 0
+    for r0, r1 in _stripes(h, w, s, graph.spatial_divisor):
+        a = max(0, r0 - halo)
+        x = rows_in(a, r1)
+        g_out = model.run_branch(global_layers, weights, x)[r0 - a :]
+        d_out, traffic = run_detailnet_fused(x[r0 - a :], weights, s)
+        del x
+        # both branches compute in result_type(input, weights), so the merge
+        # can overwrite the detail output without a cast
+        out = nn_ops.tanh(nn_ops.add(g_out, d_out, out=d_out), out=d_out)
+        tensor_core.require_finite(out, "model output")
+        rows_out(r0, r1, out)
+        reads += traffic.offchip_read_bytes
+        writes += traffic.offchip_write_bytes
+        peak = max(peak, traffic.peak_onchip_bytes)
+    return TrafficReport("fused", reads, writes, peak)
+
+
+def fused_forward(graph, weights: dict, under, over, tile) -> tuple:
+    """Full forward pass in stripes, the detail branch run through the tiled executor.
+
+    Returns (output, TrafficReport). Bit-identical to model.forward for the
+    dual-branch graph.
+    """
     model.check_pair(graph, under, over)
-    x = np.concatenate((under, over), axis=2)
-    g_out = model.run_branch(branches["global"], weights, x)
-    d_out, traffic = run_detailnet_fused(x, weights, tile)
-    del x
-    # both branches compute in result_type(input, weights), so the merge can
-    # overwrite the detail output without a cast
-    out = nn_ops.tanh(nn_ops.add(g_out, d_out, out=d_out), out=d_out)
-    tensor_core.require_finite(out, "model output")
+    h, w = under.shape[:2]
+    out = None
+
+    def rows_out(r0, r1, y):
+        nonlocal out
+        if out is None:
+            out = np.empty((h, w, y.shape[2]), dtype=y.dtype)
+        out[r0:r1] = y
+
+    traffic = _run_stripes(
+        graph, weights, h, w, tile,
+        lambda a, b: np.concatenate((under[a:b], over[a:b]), axis=2), rows_out,
+    )
     return out, traffic
 
+
+def fuse_images(graph, weights: dict, under: np.ndarray, over: np.ndarray, tile) -> tuple:
+    """Fuse an 8-bit exposure pair of any size; returns (uint8 image, TrafficReport).
+
+    Equal byte for byte to denormalize(model.forward(...)) on the pair
+    normalized and edge-padded to a multiple of 8, cropped back. A tile side
+    larger than the padded image is clamped to it. Each stripe normalizes and
+    pads only the input rows it reads and writes its rows of the uint8
+    output, so the only full-size array is that output.
+    """
+    for name, img in (("under", under), ("over", over)):
+        if not isinstance(img, np.ndarray) or img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
+            raise ValueError(f"{name} must be a uint8 (H, W, 3) image")
+    if under.shape != over.shape:
+        raise ValueError(f"dimension mismatch: {under.shape[:2]} vs {over.shape[:2]}")
+    h, w = under.shape[:2]
+    div = graph.spatial_divisor
+    hp, wp = h + (-h) % div, w + (-w) % div
+    fused = np.empty_like(under)
+
+    def rows_in(a, b):
+        x = np.empty((b - a, wp, _WIDTHS[0]), dtype=np.float32)
+        real = min(b, h) - a
+        x[:real, :w, :3] = tensor_core.normalize(under[a : a + real])
+        x[:real, :w, 3:] = tensor_core.normalize(over[a : a + real])
+        x[:real, w:] = x[:real, w - 1 : w]
+        x[real:] = x[real - 1]
+        return x
+
+    def rows_out(r0, r1, y):
+        r1 = min(r1, h)
+        fused[r0:r1] = tensor_core.denormalize(y[: r1 - r0, :w])
+
+    side = min(tile.s if isinstance(tile, TileSpec) else int(tile), hp, wp)
+    return fused, _run_stripes(graph, weights, hp, wp, side, rows_in, rows_out)

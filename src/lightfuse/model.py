@@ -327,32 +327,37 @@ def load_weights(data: bytes, graph: ModelGraph) -> dict:
     if take(4, "magic") != _MAGIC:
         raise WeightFormatError("bad magic: expected 'LFW1'")
     (count,) = struct.unpack("<I", take(4, "tensor count"))
-    store = {}
+    # name -> (dims, payload); only graph-shaped tensors become arrays, as numpy
+    # allows at most 64 dims and the format 255
+    tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightFormatError(f"tensor name {len(tensors)}: not valid UTF-8") from None
         (ndim,) = struct.unpack("<B", take(1, f"ndim of '{name}'"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"dims of '{name}'"))
         size = math.prod(dims)
         payload = take(4 * size, f"payload of '{name}'")
-        if name in store:
+        if name in tensors:
             raise WeightFormatError(f"duplicate tensor '{name}'")
-        store[name] = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(dims)
+        tensors[name] = dims, payload
     if pos != len(data):
         raise WeightFormatError(f"{len(data) - pos} trailing bytes after last tensor")
 
     expected = graph_param_entries(graph)
+    store = {}
     for key, shape, _ in expected:
-        if key not in store:
+        if key not in tensors:
             raise WeightFormatError(f"missing parameter '{key}'")
-        if store[key].shape != shape:
-            raise WeightFormatError(
-                f"shape mismatch for '{key}': file {store[key].shape}, graph {shape}"
-            )
+        dims, payload = tensors[key]
+        if dims != shape:
+            raise WeightFormatError(f"shape mismatch for '{key}': file {dims}, graph {shape}")
+        store[key] = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(dims)
         if not np.isfinite(store[key]).all():
             raise WeightFormatError(f"non-finite values in tensor '{key}'")
-    known = {key for key, _, _ in expected}
-    for name in store:
-        if name not in known:
+    for name in tensors:
+        if name not in store:
             raise WeightFormatError(f"unexpected tensor '{name}'")
     return store

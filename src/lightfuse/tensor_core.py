@@ -52,7 +52,10 @@ def decode_ppm(data: bytes) -> np.ndarray:
         tok = data[start:pos]
         if not tok.isdigit():
             raise PpmParseError(f"{field}: expected an unsigned integer")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise PpmParseError(f"{field}: too many digits") from None
 
     width = token("width")
     height = token("height")

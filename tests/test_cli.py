@@ -250,13 +250,13 @@ def test_fuse_non_finite_weights_fail_before_any_forward_pass(tmp_path, capsys):
     weights.write_bytes(save_weights(store, graph))
     write_ppm(tmp_path / "u.ppm", rand_img(16, 16, 10))
     write_ppm(tmp_path / "o.ppm", rand_img(16, 16, 11))
-    with mock.patch.object(fusion, "fused_forward") as fused_forward:
+    with mock.patch.object(fusion, "fuse_images") as fuse_images:
         code = cli.main([
             "fuse", str(tmp_path / "u.ppm"), str(tmp_path / "o.ppm"), str(tmp_path / "x.ppm"),
             "--weights", str(weights),
         ])
     assert code == 3
-    assert not fused_forward.called
+    assert not fuse_images.called
     assert "g3.pw.bias" in capsys.readouterr().err
 
 
@@ -268,3 +268,35 @@ def test_fuse_non_finite_weights_fail_before_any_forward_pass(tmp_path, capsys):
 def test_negative_seed_and_steps_are_usage_errors(argv, flag, capsys):
     assert cli.main(argv) == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fuse_nan_in_the_last_stripe_fails_without_writing(tmp_path, capsys):
+    from unittest import mock
+
+    from lightfuse import fusion
+
+    # d1 channel 0 overflows to +inf where the under image's red and green
+    # are 255, and d2 reads that channel with zero weights: 0 * inf is NaN
+    graph = build_lightfuse()
+    store = init_weights(graph, 0)
+    store["d1.weight"][:2, 0] = 3e38
+    store["d2.weight"][0, :] = 0.0
+    weights = tmp_path / "overflow.lfw"
+    weights.write_bytes(save_weights(store, graph))
+    under = np.zeros((64, 16, 3), dtype=np.uint8)
+    under[60:] = 255
+    write_ppm(tmp_path / "u.ppm", under)
+    write_ppm(tmp_path / "o.ppm", rand_img(64, 16, 12))
+    # 8-row stripes at tile size 8: rows 60..63 fall in the last of eight
+    with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", 8 * 16), \
+            mock.patch.object(fusion, "run_detailnet_fused", wraps=fusion.run_detailnet_fused) as detail:
+        code = cli.main([
+            "fuse", str(tmp_path / "u.ppm"), str(tmp_path / "o.ppm"), str(tmp_path / "x.ppm"),
+            "--weights", str(weights), "--tile-size", "8",
+        ])
+    assert code == 3
+    assert detail.call_count == 8
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.ppm").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightfuse import fusion, model, nn_ops
+from lightfuse import fusion, model, nn_ops, tensor_core
 from lightfuse.fusion import (
     TileSpec,
     run_detailnet_fused,
@@ -245,3 +247,100 @@ def test_fused_forward_rejects_single_branch_graph(weights):
     u = np.zeros((8, 8, 3), dtype=np.float32)
     with pytest.raises(ValueError, match="dual-branch"):
         fusion.fused_forward(graph, weights, u, u, 4)
+
+
+def test_fused_forward_rejects_graph_the_halo_rule_does_not_hold_for(weights):
+    graph = build_lightfuse()
+    wide_g1 = dataclasses.replace(graph.branches[0][1][0], k=5)
+    graph = dataclasses.replace(
+        graph, branches=(("global", (wide_g1,) + graph.branches[0][1][1:]), graph.branches[1])
+    )
+    u = np.zeros((8, 8, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match="dual-branch"):
+        fusion.fused_forward(graph, weights, u, u, 4)
+
+
+# ------------------------------------------------------------------ stripes
+
+def edge_padded_reference(graph, weights, under, over):
+    """The seed's fuse: normalize, edge-pad to a multiple of 8, forward, crop."""
+    h, w = under.shape[:2]
+    pad = ((0, -h % 8), (0, -w % 8), (0, 0))
+    u = np.pad(tensor_core.normalize(under), pad, mode="edge")
+    o = np.pad(tensor_core.normalize(over), pad, mode="edge")
+    return u, o, tensor_core.denormalize(model.forward(graph, weights, u, o)[:h, :w])
+
+
+@st.composite
+def images_tiles_budgets(draw):
+    h, w = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(1, 4000)), draw(st.integers(0, 2**16))
+
+
+# (40, 16, 16, 1): 16-row stripes leave an 8-row residual that joins the
+# stripe above; (200, 200, 200, 1): one stripe, tile as large as the image;
+# (1, 1, 1, 1): 7 rows and columns of edge padding
+@example(case=(40, 16, 16, 1, 0))
+@example(case=(200, 200, 200, 1, 1))
+@example(case=(1, 1, 1, 1, 2))
+@example(case=(197, 61, 3, 500, 3))
+@given(case=images_tiles_budgets())
+@settings(max_examples=30, deadline=None)
+def test_striped_fuse_equals_whole_image_forward(case):
+    h, w, s, budget, seed = case
+    graph = build_lightfuse()
+    weights = random_weights(seed)
+    rng = np.random.default_rng(seed)
+    under = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    u, o, reference = edge_padded_reference(graph, weights, under, over)
+    _, whole_traffic = run_detailnet_fused(np.concatenate((u, o), axis=2), weights, s)
+    stripe_grids = []
+
+    def recording_grid(*args):
+        stripe_grids.append(tile_grid(*args))
+        return stripe_grids[-1]
+
+    with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget):
+        with mock.patch.object(fusion, "tile_grid", recording_grid):
+            fused, traffic = fusion.fuse_images(graph, weights, under, over, s)
+        forward_out, forward_traffic = fusion.fused_forward(graph, weights, u, o, s)
+    stripe_tiles = sum(len(grid) for grid in stripe_grids)
+    assert fused.tobytes() == reference.tobytes()
+    assert traffic == forward_traffic == whole_traffic
+    assert stripe_tiles == len(tile_grid(*u.shape[:2], s))
+    assert forward_out.tobytes() == model.forward(graph, weights, u, o).tobytes()
+
+
+def test_fuse_images_clamps_tile_to_the_padded_image(weights):
+    under = np.zeros((5, 12, 3), dtype=np.uint8)
+    _, traffic = fusion.fuse_images(build_lightfuse(), weights, under, under, 32)
+    assert traffic.peak_onchip_bytes == 8 * 8 * 280
+
+
+def test_fuse_images_rejects_mismatched_or_non_uint8_pairs(weights):
+    graph = build_lightfuse()
+    a = np.zeros((8, 8, 3), dtype=np.uint8)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fusion.fuse_images(graph, weights, a, np.zeros((8, 16, 3), dtype=np.uint8), 4)
+    with pytest.raises(ValueError, match="over must be a uint8"):
+        fusion.fuse_images(graph, weights, a, a.astype(np.float32), 4)
+
+
+def _fuse_peak(weights, h, w):
+    rng = np.random.default_rng(h)
+    under = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        fusion.fuse_images(build_lightfuse(), weights, under, over, 32)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fuse_memory_grows_only_by_its_uint8_output(weights):
+    # the 3-byte output pixel is the only allocation that grows with height;
+    # whole-image float temporaries cost about 80 B per pixel
+    small, large = _fuse_peak(weights, 256, 1032), _fuse_peak(weights, 2048, 1032)
+    assert (large - small) / ((2048 - 256) * 1032) <= 4

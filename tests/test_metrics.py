@@ -274,3 +274,26 @@ def test_ssim_memory_is_bounded_by_its_output_map():
     finally:
         tracemalloc.stop()
     assert peak < 8 * oh * ow + int(2.5 * 2**20)
+
+
+@pytest.mark.parametrize("h, w", [(1021, 1027), (2048, 1536)])
+def test_psnr_equals_the_float64_mean_formula_at_full_size(h, w):
+    # integer sums are exact, so the MSE is np.mean's float in any order
+    for kind in ("random", "constant"):
+        a, b = image_pair(h, w, kind, h)
+        assert psnr(a, b) == oracle_psnr(a, b)
+    black, white = np.zeros((h, w, 3), np.uint8), np.full((h, w, 3), 255, np.uint8)
+    assert psnr(black, white) == oracle_psnr(black, white) == 0.0
+
+
+def test_psnr_memory_is_a_few_integer_stripes():
+    a, b = image_pair(2048, 1536, "random", 13)
+    tracemalloc.start()
+    try:
+        psnr(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few int32 stripes of at most SSIM_STRIPE_PIXELS pixels (with numpy's
+    # cast buffers), against 75 MB for a float64 difference image
+    assert peak < 4 * (4 * 3 * metrics.SSIM_STRIPE_PIXELS)
