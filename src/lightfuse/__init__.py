@@ -2,7 +2,6 @@
 
 from .cost_model import CONVENTIONS, FlopsConvention, analyze, flops_ds_conv, flops_standard_conv, params_of
 from .fusion import (
-    TileSpec,
     TrafficReport,
     fuse_images,
     fused_forward,

@@ -45,7 +45,6 @@ import numpy as np
 from . import model, nn_ops, tensor_core
 
 __all__ = [
-    "TileSpec",
     "TrafficReport",
     "tile_grid",
     "run_detailnet_fused",
@@ -76,17 +75,6 @@ FUSE_STRIPE_PIXELS = 131072
 
 
 @dataclass(frozen=True)
-class TileSpec:
-    """Square tile side length; edge tiles may be smaller."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"invalid tile size {self.s}")
-
-
-@dataclass(frozen=True)
 class TrafficReport:
     mode: str
     offchip_read_bytes: int
@@ -114,7 +102,7 @@ def tile_grid(height: int, width: int, s: int):
 
 
 def _tile_side(tile, h: int, w: int) -> int:
-    s = tile.s if isinstance(tile, TileSpec) else int(tile)
+    s = int(tile)
     if not 1 <= s <= min(h, w):
         raise ValueError(f"invalid tile size {s} for {h}x{w} input")
     return s
@@ -289,5 +277,5 @@ def fuse_images(graph, weights: dict, under: np.ndarray, over: np.ndarray, tile)
         r1 = min(r1, h)
         fused[r0:r1] = tensor_core.denormalize(y[: r1 - r0, :w])
 
-    side = min(tile.s if isinstance(tile, TileSpec) else int(tile), hp, wp)
+    side = min(int(tile), hp, wp)
     return fused, _run_stripes(graph, weights, hp, wp, side, rows_in, rows_out)

@@ -33,8 +33,6 @@ __all__ = [
     "forward",
     "save_weights",
     "load_weights",
-    "DETAIL_LAYER_NAMES",
-    "DETAIL_CHANNELS",
 ]
 
 LAYER_KINDS = ("depthwise", "pointwise", "separable", "upsample_nn", "relu", "tanh", "add")
@@ -248,16 +246,35 @@ def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"layer kind '{kind}' is only valid in the merge stage")
 
 
-def run_branch(layers, weights: dict, x: np.ndarray) -> np.ndarray:
-    """Run layers in order, asserting each output size against spatial_factor."""
+def run_branch(layers, weights: dict, x: np.ndarray, record=None) -> np.ndarray:
+    """Run layers in order, asserting each output size against spatial_factor.
+
+    With record given, record(layer, input, output) is called after each
+    layer's size check.
+    """
     for layer in layers:
         y = run_layer(layer, weights, x)
         f = spatial_factor(layer)
         eh, ew = x.shape[0] * f, x.shape[1] * f
         if y.shape[:2] != (eh, ew):
             raise RuntimeError(f"layer '{layer.name}': expected {eh}x{ew} output, got {y.shape[:2]}")
+        if record is not None:
+            record(layer, x, y)
         x = y
     return x
+
+
+def merge_branches(graph: ModelGraph, outs: list) -> tuple:
+    """(pre-activation sum or None, output) of the merge stage over branch outputs.
+
+    The one merge rule forward and training share; left out of __all__ like check_pair.
+    """
+    if not graph.merge_add_tanh:
+        return None, outs[0]
+    if len(outs) != 2:
+        raise RuntimeError("merge stage requires exactly two branches")
+    pre = nn_ops.add(outs[0], outs[1])
+    return pre, nn_ops.tanh(pre)
 
 
 def check_pair(graph: ModelGraph, under: np.ndarray, over: np.ndarray) -> None:
@@ -280,13 +297,7 @@ def forward(graph: ModelGraph, weights: dict, under: np.ndarray, over: np.ndarra
     check_pair(graph, under, over)
     x = np.concatenate((under, over), axis=2)
     h, w = x.shape[:2]
-    outs = [run_branch(layers, weights, x) for _, layers in graph.branches]
-    if graph.merge_add_tanh:
-        if len(outs) != 2:
-            raise RuntimeError("merge stage requires exactly two branches")
-        out = nn_ops.tanh(nn_ops.add(outs[0], outs[1]))
-    else:
-        out = outs[0]
+    out = merge_branches(graph, [run_branch(layers, weights, x) for _, layers in graph.branches])[1]
     if out.shape != (h, w, 3):
         raise RuntimeError(f"output shape {out.shape} does not match input {h}x{w}x3")
     tensor_core.require_finite(out, "model output")

@@ -84,7 +84,7 @@ def encode_ppm(img: np.ndarray) -> bytes:
     """Encode a uint8 (H, W, 3) image as a canonical binary P6 file."""
     _check_image8(img)
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(img).tobytes()
+    return b"".join((header, np.ascontiguousarray(img).data))
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

@@ -136,33 +136,14 @@ class Adam:
 
 
 def _forward_cached(graph, weights, x):
-    """Forward pass recording per-layer inputs for the backward walk."""
+    """Forward pass recording (layer, input, output) per layer for the backward walk."""
     branch_outs = []
     branch_recs = []
     for _, layers in graph.branches:
-        y = x
         recs = []
-        for layer in layers:
-            kind = layer.kind
-            if kind == "separable":
-                dw, pw = model.layer_kernels(layer, weights)
-                mid = nn_ops.depthwise_forward(y, dw)
-                recs.append((layer, y, mid))
-                y = nn_ops.pointwise_forward(mid, pw)
-            elif kind == "upsample_nn":
-                recs.append((layer, None, None))
-                y = nn_ops.upsample_nn(y)
-            else:
-                recs.append((layer, y, None))
-                y = model.run_layer(layer, weights, y)
-        branch_outs.append(y)
+        branch_outs.append(model.run_branch(layers, weights, x, lambda *rec: recs.append(rec)))
         branch_recs.append(recs)
-    if graph.merge_add_tanh:
-        pre = nn_ops.add(branch_outs[0], branch_outs[1])
-        out = nn_ops.tanh(pre)
-    else:
-        pre = None
-        out = branch_outs[0]
+    pre, out = model.merge_branches(graph, branch_outs)
     return out, pre, branch_recs
 
 
@@ -175,7 +156,7 @@ def _backward(graph, weights, branch_recs, merge_pre, out_grad):
     else:
         branch_grads = [out_grad]
     for recs, g in zip(branch_recs, branch_grads):
-        for layer, x_in, mid in reversed(recs):
+        for layer, x_in, _ in reversed(recs):
             kind = layer.kind
             pgrads = ()  # in param_entries order; a bias-free depthwise drops its None
             if kind == "depthwise":
@@ -186,6 +167,7 @@ def _backward(graph, weights, branch_recs, merge_pre, out_grad):
                 g, *pgrads = nn_ops.pointwise_backward(x_in, kern, g)
             elif kind == "separable":
                 dwk, pwk = model.layer_kernels(layer, weights)
+                mid = nn_ops.depthwise_forward(x_in, dwk)
                 g, dpw, dpb = nn_ops.pointwise_backward(mid, pwk, g)
                 g, ddw, _ = nn_ops.depthwise_backward(x_in, dwk, g)
                 pgrads = (ddw, dpw, dpb)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lightfuse import fusion, model, nn_ops, tensor_core
 from lightfuse.fusion import (
-    TileSpec,
     run_detailnet_fused,
     run_detailnet_unfused,
     sweep_tile_sizes,
@@ -44,7 +43,7 @@ def test_fused_matches_manual_layer_composition(weights):
     for name in model.DETAIL_LAYER_NAMES:
         kern = nn_ops.PointwiseKernel(weights[f"{name}.weight"], weights[f"{name}.bias"])
         y = nn_ops.relu(nn_ops.pointwise_forward(y, kern))
-    fused, _ = run_detailnet_fused(x, weights, TileSpec(7))
+    fused, _ = run_detailnet_fused(x, weights, 7)
     assert fused.tobytes() == y.tobytes()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,18 @@ def test_random_images_round_trip():
         img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         again = decode_ppm(encode_ppm(img))
         assert (again == img).all()
+
+
+def test_encode_holds_one_copy_of_the_output():
+    img = np.random.default_rng(8).integers(0, 256, size=(1024, 1032, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        data = encode_ppm(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == b"P6\n1032 1024\n255\n" + img.tobytes()
+    assert peak <= len(data) + 64 * 1024
 
 
 def test_normalize_endpoints():

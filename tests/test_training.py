@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lightfuse import training
-from lightfuse.model import build_lightfuse, forward, init_weights
+from lightfuse import model, training
+from lightfuse.model import build_lightfuse, build_tcnn, forward, init_weights
 from lightfuse.training import (
     Adam,
     IdentityExtractor,
@@ -205,6 +209,62 @@ def test_end_to_end_gradients_smoke():
         if checked >= 15:
             break
     assert checked >= 15
+
+
+# ------------------------------------------------------------ forward walk
+
+WALK_GRAPHS = {
+    "lightfuse": build_lightfuse(True),
+    "lightfuse_no_encoder_relu": build_lightfuse(False),
+    "tcnn": build_tcnn(),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(WALK_GRAPHS)),
+    rows=st.integers(1, 32),
+    cols=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_forward_is_run_branch(name, rows, cols, seed):
+    graph = WALK_GRAPHS[name]
+    div = graph.spatial_divisor
+    h, w = -(-rows // div) * div, -(-cols // div) * div
+    rng = np.random.default_rng(seed)
+    weights = init_weights(graph, seed)
+    for key in weights:
+        if key.endswith(".bias"):
+            weights[key] = rng.uniform(-0.5, 0.5, size=weights[key].shape).astype(np.float32)
+    u, o, label = (rng.uniform(-1, 1, (h, w, 3)).astype(np.float32) for _ in range(3))
+
+    out, _, _ = loss_and_grads(graph, weights, u, o, label)
+    assert out.tobytes() == forward(graph, weights, u, o).tobytes()
+
+    x = np.concatenate((u, o), axis=2)
+    for _, layers in graph.branches:
+        seen = []
+        y = model.run_branch(layers, weights, x, lambda *rec: seen.append(rec))
+        assert [layer for layer, _, _ in seen] == list(layers)
+        for layer, x_in, y_out in seen:
+            area_in, area_out = x_in.shape[0] * x_in.shape[1], y_out.shape[0] * y_out.shape[1]
+            assert area_out == area_in * model.spatial_factor(layer) ** 2
+        assert seen[0][1] is x and seen[-1][2] is y
+        assert all(a[2] is b[1] for a, b in zip(seen, seen[1:]))
+        assert y.tobytes() == model.run_branch(layers, weights, x).tobytes()
+
+
+@pytest.mark.parametrize("branches", [slice(0, 1), slice(0, 3)])
+def test_merge_requires_exactly_two_branches(branches):
+    graph = build_lightfuse()
+    extra = (("detail2", dict(graph.branches)["detail"]),)
+    graph = dataclasses.replace(graph, branches=(graph.branches + extra)[branches])
+    weights = init_weights(graph, 0)
+    u, o, label = rand((8, 8, 3), 1), rand((8, 8, 3), 2), rand((8, 8, 3), 3)
+    with pytest.raises(RuntimeError, match="merge stage requires exactly two branches"):
+        forward(graph, weights, u, o)
+    with pytest.raises(RuntimeError, match="merge stage requires exactly two branches"):
+        loss_and_grads(graph, weights, u, o, label)
 
 
 # ---------------------------------------------------------------- training
