@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -222,6 +225,20 @@ def test_train_deterministic_weight_bytes(tmp_path):
     assert cli.main(["train", str(tmp_path / "data"), str(out_a), "--steps", "2", "--seed", "7"]) == 0
     assert cli.main(["train", str(tmp_path / "data"), str(out_b), "--steps", "2", "--seed", "7"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc settings")
+def test_train_keeps_its_heap_between_samples(tmp_path):
+    # Without the train command's malloc thresholds, glibc unmaps the heap
+    # top after each sample and faults it in again: several hundred minor
+    # faults per sample, against a few dozen for the whole call with them.
+    make_scene(tmp_path / "data" / "scene1", seed=3, hw=128)
+    argv = ["train", str(tmp_path / "data"), str(tmp_path / "w.lfw"), "--steps", "4", "--seed", "1"]
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+    samples = 4 * 4  # four 64x64 patches per step
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * samples
 
 
 def test_train_scene_without_label_is_skipped(tmp_path, capsys):
