@@ -16,13 +16,13 @@ gathered channels-first into one buffer and carried through the chain in
 place. Grouping is a numpy batching device only; it changes neither the
 output bits nor the traffic model below.
 
-Traffic is a cost model, not a measurement: byte counters increment at the
-points where a real accelerator would touch external memory, summed over
-the tiles of tile_grid. Peak on-chip bytes for the fused schedule model the
-accelerator's per-tile working set - buffers preallocated for a full s x s
-tile at the input width plus the two widest intermediate widths - not the
-size of numpy's group buffers. The unfused schedule streams one pixel at a
-time per layer, so its working set is the widest (in + out) channel pair.
+Traffic is a cost model, not a measurement: a closed form of (H, W, s)
+computed once per call, not counted by the executors. Fused, the input is
+read once and the output written once; unfused, every layer reads its input
+and writes its output. Fused peak on-chip bytes model the accelerator's
+per-tile working set - buffers for a full s x s tile at the input width plus
+the two widest intermediate widths - not numpy's group buffers. The unfused
+schedule streams one pixel at a time per layer: the widest (in + out) pair.
 
 A whole forward pass (fused_forward, and fuse_images for 8-bit images) runs
 in horizontal stripes of output rows, so no full-size intermediate exists.
@@ -55,11 +55,10 @@ __all__ = [
 ]
 
 _BYTES_F32 = 4
-# The 1x1 convs of the detail branch, each followed by a ReLU, and the
-# channel widths along the chain (6, 32, 32, 3).
-_CHAIN = tuple(
-    layer for layer in dict(model.build_lightfuse().branches)["detail"] if layer.kind == "pointwise"
-)
+# The detail branch (1x1 convs, each followed by a ReLU), its 1x1 convs and
+# the channel widths along the chain (6, 32, 32, 3).
+_DETAIL = dict(model.build_lightfuse().branches)["detail"]
+_CHAIN = tuple(layer for layer in _DETAIL if layer.kind == "pointwise")
 _WIDTHS = (_CHAIN[0].in_channels,) + tuple(layer.out_channels for layer in _CHAIN)
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
@@ -113,6 +112,15 @@ def _check_detail_input(x):
         raise ValueError(f"detail-branch input must be (H, W, {_WIDTHS[0]})")
 
 
+def _fused_traffic(h: int, w: int, s: int) -> TrafficReport:
+    return TrafficReport(
+        "fused",
+        h * w * _WIDTHS[0] * _BYTES_F32,
+        h * w * _WIDTHS[-1] * _BYTES_F32,
+        s * s * _FUSED_PEAK_CHANNELS * _BYTES_F32,
+    )
+
+
 def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
     """Every 1x1 layer of the chain per tile before the next tile is touched.
 
@@ -126,12 +134,6 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
     s = _tile_side(tile, h, w)
     kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
     chans = _WIDTHS
-    reads = writes = 0
-    for r0, r1, c0, c1 in tile_grid(h, w, s):
-        npix = (r1 - r0) * (c1 - c0)
-        reads += npix * chans[0] * _BYTES_F32
-        writes += npix * chans[-1] * _BYTES_F32
-
     dtypes = [x.dtype]
     for kern in kernels:
         dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
@@ -153,33 +155,26 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
                 nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
                 nn_ops.relu(t[i + 1], out=t[i + 1])
             out[r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols).transpose(1, 2, 0)
-    peak = s * s * _FUSED_PEAK_CHANNELS * _BYTES_F32
-    return out, TrafficReport("fused", reads, writes, peak)
+    return out, _fused_traffic(h, w, s)
 
 
 def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
-    """Layer-by-layer reference path: every intermediate goes off chip."""
+    """Layer-by-layer reference path (model.run_branch): every intermediate goes off chip."""
     _check_detail_input(x)
     h, w = x.shape[:2]
-    kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
-    reads = writes = 0
-    y = x
-    for kern in kernels:
-        reads += h * w * kern.in_channels * _BYTES_F32
-        y = nn_ops.relu(nn_ops.pointwise_forward(y, kern))
-        writes += h * w * kern.out_channels * _BYTES_F32
-    peak = max(k.in_channels + k.out_channels for k in kernels) * _BYTES_F32
-    return y, TrafficReport("unfused", reads, writes, peak)
+    traffic = TrafficReport(
+        "unfused",
+        h * w * sum(_WIDTHS[:-1]) * _BYTES_F32,
+        h * w * sum(_WIDTHS[1:]) * _BYTES_F32,
+        max(a + b for a, b in zip(_WIDTHS, _WIDTHS[1:])) * _BYTES_F32,
+    )
+    return model.run_branch(_DETAIL, weights, x), traffic
 
 
 def sweep_tile_sizes(dims: tuple, s_values) -> list:
     """(s, peak_onchip_bytes) per tile size; traffic does not depend on s."""
     h, w = dims
-    rows = []
-    for s in s_values:
-        _tile_side(s, h, w)
-        rows.append((s, s * s * _FUSED_PEAK_CHANNELS * _BYTES_F32))
-    return rows
+    return [(s, _fused_traffic(h, w, _tile_side(s, h, w)).peak_onchip_bytes) for s in s_values]
 
 
 def _stripes(h: int, w: int, s: int, divisor: int):
@@ -197,29 +192,25 @@ def _run_stripes(graph, weights: dict, h: int, w: int, tile, rows_in, rows_out) 
 
     rows_in(a, b) returns input rows [a, b) as an (b - a, w, 6) tensor;
     rows_out(r0, r1, y) receives the finite merged output rows [r0, r1).
-    Returns the summed TrafficReport, equal to a whole-image run's.
+    Returns the whole image's TrafficReport.
     """
     if graph not in _FUSION_GRAPHS:
         raise ValueError("tile-fused execution requires the dual-branch fusion graph")
     global_layers = dict(graph.branches)["global"]
     s = _tile_side(tile, h, w)
     halo = graph.spatial_divisor  # one g3 row
-    reads = writes = peak = 0
     for r0, r1 in _stripes(h, w, s, graph.spatial_divisor):
         a = max(0, r0 - halo)
         x = rows_in(a, r1)
         g_out = model.run_branch(global_layers, weights, x)[r0 - a :]
-        d_out, traffic = run_detailnet_fused(x[r0 - a :], weights, s)
+        d_out, _ = run_detailnet_fused(x[r0 - a :], weights, s)
         del x
         # both branches compute in result_type(input, weights), so the merge
         # can overwrite the detail output without a cast
         out = nn_ops.tanh(nn_ops.add(g_out, d_out, out=d_out), out=d_out)
         tensor_core.require_finite(out, "model output")
         rows_out(r0, r1, out)
-        reads += traffic.offchip_read_bytes
-        writes += traffic.offchip_write_bytes
-        peak = max(peak, traffic.peak_onchip_bytes)
-    return TrafficReport("fused", reads, writes, peak)
+    return _fused_traffic(h, w, s)
 
 
 def fused_forward(graph, weights: dict, under, over, tile) -> tuple:

@@ -210,6 +210,8 @@ def train_toy(graph, weights, dataset, steps: int, seed: int = 0, extractor=None
     """
     if not dataset:
         raise ValueError("empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     trained = {k: v.copy() for k, v in weights.items()}
     opt = Adam(trained, lr=lr)
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lightfuse import fusion, model, nn_ops, tensor_core
 from lightfuse.fusion import (
+    TrafficReport,
     run_detailnet_fused,
     run_detailnet_unfused,
     sweep_tile_sizes,
@@ -174,6 +175,57 @@ def test_fused_to_unfused_ratio_is_9_to_137(weights):
     assert fused.total_offchip_bytes * 137 == unfused.total_offchip_bytes * 9
 
 
+def counted_traffic(h, w, s, weights):
+    """Reference byte counts: fused summed over tile_grid's tiles, unfused per layer."""
+    detail = dict(build_lightfuse().branches)["detail"]
+    kernels = [model.layer_kernels(layer, weights)[0] for layer in detail if layer.kind == "pointwise"]
+    chans = [kernels[0].in_channels] + [kern.out_channels for kern in kernels]
+    reads = writes = 0
+    for r0, r1, c0, c1 in tile_grid(h, w, s):
+        npix = (r1 - r0) * (c1 - c0)
+        reads += npix * chans[0] * 4
+        writes += npix * chans[-1] * 4
+    peak = s * s * (chans[0] + sum(sorted(chans[1:-1])[-2:])) * 4
+    fused = TrafficReport("fused", reads, writes, peak)
+    reads = writes = 0
+    for kern in kernels:
+        reads += h * w * kern.in_channels * 4
+        writes += h * w * kern.out_channels * 4
+    peak = max(kern.in_channels + kern.out_channels for kern in kernels) * 4
+    return fused, TrafficReport("unfused", reads, writes, peak)
+
+
+@st.composite
+def sizes_and_tiles(draw):
+    h, w = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(0, 2**16))
+
+
+@example(case=(1, 1, 1, 0))
+@example(case=(199, 200, 199, 1))
+@example(case=(37, 101, 6, 2))
+@given(case=sizes_and_tiles())
+@settings(max_examples=25, deadline=None)
+def test_closed_form_traffic_equals_counted_traffic(case):
+    """Reports equal the per-tile/per-layer counts; unfused output is forward's d3_relu."""
+    h, w, s, seed = case
+    graph = build_lightfuse()
+    weights = random_weights(seed)
+    fused_counted, unfused_counted = counted_traffic(h, w, s, weights)
+    rng = np.random.default_rng(seed)
+    padded = rng.uniform(-1, 1, size=(h + -h % 8, w + -w % 8, 6))
+    for dtype in (np.float32, np.float64):
+        pair = padded.astype(dtype)
+        x = np.ascontiguousarray(pair[:h, :w])
+        assert run_detailnet_fused(x, weights, s)[1] == fused_counted
+        unfused, traffic = run_detailnet_unfused(x, weights)
+        assert traffic == unfused_counted
+        # 1x1 layers are per-pixel, so the padded forward's crop is x's walk
+        _, detail = forward_with_detail_output(graph, weights, pair[..., :3], pair[..., 3:])
+        assert unfused.dtype == detail.dtype == dtype
+        assert unfused.tobytes() == np.ascontiguousarray(detail[:h, :w]).tobytes()
+
+
 def test_peak_formula_and_monotone_sweep():
     rows = sweep_tile_sizes((256, 256), [1, 2, 4, 8, 16, 32])
     assert rows[0] == (1, 280)
@@ -294,20 +346,14 @@ def test_striped_fuse_equals_whole_image_forward(case):
     over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     u, o, reference = edge_padded_reference(graph, weights, under, over)
     _, whole_traffic = run_detailnet_fused(np.concatenate((u, o), axis=2), weights, s)
-    stripe_grids = []
-
-    def recording_grid(*args):
-        stripe_grids.append(tile_grid(*args))
-        return stripe_grids[-1]
-
+    hp, wp = u.shape[:2]
     with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget):
-        with mock.patch.object(fusion, "tile_grid", recording_grid):
-            fused, traffic = fusion.fuse_images(graph, weights, under, over, s)
+        fused, traffic = fusion.fuse_images(graph, weights, under, over, s)
         forward_out, forward_traffic = fusion.fused_forward(graph, weights, u, o, s)
-    stripe_tiles = sum(len(grid) for grid in stripe_grids)
+        stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s, 8))
     assert fused.tobytes() == reference.tobytes()
     assert traffic == forward_traffic == whole_traffic
-    assert stripe_tiles == len(tile_grid(*u.shape[:2], s))
+    assert stripe_tiles == len(tile_grid(hp, wp, s))
     assert forward_out.tobytes() == model.forward(graph, weights, u, o).tobytes()
 
 

@@ -349,6 +349,13 @@ def test_train_empty_dataset_rejected():
         train_toy(graph, init_weights(graph, 0), [], steps=1, seed=0)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_rejects_batch_size_below_one(batch_size):
+    graph = build_lightfuse()
+    with pytest.raises(ValueError, match="batch_size"):
+        train_toy(graph, init_weights(graph, 0), toy_dataset(), steps=1, seed=0, batch_size=batch_size)
+
+
 def test_curve_csv_format():
     curve = [training.LossReport(0.5, 0.0, 0.5), training.LossReport(0.25, 0.1, 0.35)]
     text = curve_to_csv(curve)
