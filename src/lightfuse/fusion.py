@@ -16,6 +16,19 @@ gathered channels-first into one buffer and carried through the chain in
 place. Grouping is a numpy batching device only; it changes neither the
 output bits nor the traffic model below.
 
+The groups are shared out among FUSE_THREADS threads, one per CPU this
+process may use. The calling thread starts the others, which claim groups
+one at a time from a shared iterator, runs its own `alongside` work (a
+stripe's global branch), then claims groups too. numpy's ufuncs and copies
+release the GIL, so the pinned-order arithmetic runs on every CPU. Each
+thread owns one set of group buffers, allocated by the caller, and writes
+its groups' disjoint rows and columns of the output; which thread runs a
+group changes no bit. Worker threads call only the pinned-order kernel and
+numpy, never a function in a module's __all__: a traced run, which wraps
+those functions, keeps seeing one thread. Every worker is joined before
+run_detailnet_fused returns or raises, and an exception in a worker is
+raised on the calling thread. With one CPU no thread is started.
+
 Traffic is a cost model, not a measurement: a closed form of (H, W, s)
 computed once per call, not counted by the executors. Fused, the input is
 read once and the output written once; unfused, every layer reads its input
@@ -34,10 +47,16 @@ stride-2 3x3 layer reads one row above each output row's centre, so only
 output row 0 of g1, g2 and g3 sees the window's zero padding, and that one
 g3 row is the 8 output rows dropped after the upsampling. The bottom
 padding of an even-height input is never read. Every kept row is therefore
-the one model.forward computes.
+the one model.forward computes. Stripes run in row order; reading the
+input rows, the merge, the finiteness check and writing the output rows
+stay on the calling thread, so the first non-finite stripe is the one
+reported.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +85,25 @@ _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 _FUSION_GRAPHS = (model.build_lightfuse(True), model.build_lightfuse(False))
 
 # Output pixels per forward stripe (padded width times rows, at least
-# lcm(8, s) rows); the stripe buffers of a fuse at W=1032 trace at ~8.5 MiB.
-# On a 1021x1027 fuse + eval loop (2-vCPU x86 host) fuse time stayed within
-# noise from 32768 to 1048576, while peak RSS went 54 MB at 65536, 57 MB
-# here, 70 MB at 262144 and 98 MB at 524288.
-FUSE_STRIPE_PIXELS = 131072
+# lcm(8, s) rows): 64 rows at W=1032, where the stripe buffers of a fuse
+# trace at ~8.1 MiB on one thread and ~10.3 MiB on two. On a 1021x1027
+# fuse + eval loop (2-vCPU x86 host, two fuse threads) throughput stayed
+# within noise from 65536 to 196608, while peak RSS went 52 MB at 65536,
+# 54 MB here (the one-thread loop's 55 MB at 131072), 57 MB at 131072 and
+# 62 MB at 196608.
+FUSE_STRIPE_PIXELS = 98304
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that run the detail branch's tile groups, the calling thread
+# included: the CPUs this process may use. 1 starts no thread.
+FUSE_THREADS = _usable_cpus()
 
 
 @dataclass(frozen=True)
@@ -121,13 +154,20 @@ def _fused_traffic(h: int, w: int, s: int) -> TrafficReport:
     )
 
 
-def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
+def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> tuple:
     """Every 1x1 layer of the chain per tile before the next tile is touched.
 
     Returns (output, TrafficReport). Off-chip traffic reads the input once
     and writes the output once regardless of tile size; intermediates stay
     on chip. Each layer computes in result_type(its input, its weights), as
     the unfused path does, so a float64 input stays float64.
+
+    The tile groups run on FUSE_THREADS threads. `alongside`, if given, is
+    called with no arguments on the calling thread once the other threads
+    have started, before the caller takes groups itself. Every thread is
+    joined before this returns or raises. An exception on the calling
+    thread is raised as it is; otherwise the first exception of a worker is
+    raised here.
     """
     _check_detail_input(x)
     h, w = x.shape[:2]
@@ -139,22 +179,65 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
         dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
     # A group is whole tiles along one tile row; group edges fall on tile edges.
     group_w = min(w, s * max(1, nn_ops.CHUNK_PIXELS // (s * s)))
+    groups = [
+        (r0, min(r0 + s, h), c0, min(c0 + group_w, w))
+        for r0 in range(0, h, s)
+        for c0 in range(0, w, group_w)
+    ]
     cap = min(s, h) * group_w
-    acts = [np.empty(c * cap, dtype=d) for c, d in zip(chans, dtypes)]
-    scratch = [np.empty(c * cap, dtype=d) for c, d in zip(chans[1:], dtypes[1:])]
     out = np.empty((h, w, chans[-1]), dtype=dtypes[-1])
-    for r0 in range(0, h, s):
-        r1 = min(r0 + s, h)
-        for c0 in range(0, w, group_w):
-            c1 = min(c0 + group_w, w)
+    pending, claim = iter(groups), threading.Lock()
+    failed = []
+
+    def run_groups(acts, scratch):
+        while not failed:
+            with claim:
+                group = next(pending, None)
+            if group is None:
+                return
+            r0, r1, c0, c1 = group
             rows, cols = r1 - r0, c1 - c0
             t = [buf[: c * rows * cols].reshape(c, rows * cols) for buf, c in zip(acts, chans)]
             t[0].reshape(chans[0], rows, cols)[...] = x[r0:r1, c0:c1].transpose(2, 0, 1)
             for i, kern in enumerate(kernels):
                 prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
                 nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
-                nn_ops.relu(t[i + 1], out=t[i + 1])
+                np.maximum(t[i + 1], 0.0, out=t[i + 1])  # nn_ops.relu's ufunc
             out[r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols).transpose(1, 2, 0)
+
+    def worker(acts, scratch):
+        try:
+            run_groups(acts, scratch)
+        except BaseException as exc:
+            failed.append(exc)
+
+    buffers = [
+        (
+            [np.empty(c * cap, dtype=d) for c, d in zip(chans, dtypes)],
+            [np.empty(c * cap, dtype=d) for c, d in zip(chans[1:], dtypes[1:])],
+        )
+        for _ in range(min(FUSE_THREADS, len(groups)))
+    ]
+    started = []
+    try:
+        for acts, scratch in buffers[1:]:
+            # the caller's context carries its np.errstate to the worker
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(worker, acts, scratch)
+            )
+            thread.start()
+            started.append(thread)
+        if alongside is not None:
+            alongside()
+        run_groups(*buffers[0])
+    except BaseException as exc:
+        failed.append(exc)  # the workers stop at their next claim
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[0]
     return out, _fused_traffic(h, w, s)
 
 
@@ -202,12 +285,15 @@ def _run_stripes(graph, weights: dict, h: int, w: int, tile, rows_in, rows_out) 
     for r0, r1 in _stripes(h, w, s, graph.spatial_divisor):
         a = max(0, r0 - halo)
         x = rows_in(a, r1)
-        g_out = model.run_branch(global_layers, weights, x)[r0 - a :]
-        d_out, _ = run_detailnet_fused(x[r0 - a :], weights, s)
+        g_out = []
+        d_out, _ = run_detailnet_fused(
+            x[r0 - a :], weights, s,
+            alongside=lambda: g_out.append(model.run_branch(global_layers, weights, x)),
+        )
         del x
         # both branches compute in result_type(input, weights), so the merge
         # can overwrite the detail output without a cast
-        out = nn_ops.tanh(nn_ops.add(g_out, d_out, out=d_out), out=d_out)
+        out = nn_ops.tanh(nn_ops.add(g_out[0][r0 - a :], d_out, out=d_out), out=d_out)
         tensor_core.require_finite(out, "model output")
         rows_out(r0, r1, out)
     return _fused_traffic(h, w, s)

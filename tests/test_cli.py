@@ -1,10 +1,12 @@
+import inspect
 import platform
 import resource
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from lightfuse import cli
+from lightfuse import cli, fusion
 from lightfuse.model import build_lightfuse, init_weights, save_weights
 from lightfuse.tensor_core import decode_ppm, encode_ppm
 
@@ -147,6 +149,12 @@ def test_bench_rejects_malformed_dims():
     assert cli.main(["bench", "banana"]) == 1
 
 
+def test_bench_too_large_to_allocate_is_validation_error(capsys):
+    # numpy refuses the 2.8 PiB input at once; nothing is committed
+    assert cli.main(["bench", "8000000x8000000", "--repetitions", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_identical_images(tmp_path, capsys):
@@ -256,10 +264,6 @@ def test_train_missing_directory(tmp_path):
 
 
 def test_fuse_non_finite_weights_fail_before_any_forward_pass(tmp_path, capsys):
-    from unittest import mock
-
-    from lightfuse import fusion
-
     graph = build_lightfuse()
     store = init_weights(graph, 0)
     store["g3.pw.bias"][1] = np.inf
@@ -290,10 +294,6 @@ def test_negative_seed_and_steps_are_usage_errors(argv, flag, capsys):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_fuse_nan_in_the_last_stripe_fails_without_writing(tmp_path, capsys):
-    from unittest import mock
-
-    from lightfuse import fusion
-
     # d1 channel 0 overflows to +inf where the under image's red and green
     # are 255, and d2 reads that channel with zero weights: 0 * inf is NaN
     graph = build_lightfuse()
@@ -317,3 +317,25 @@ def test_fuse_nan_in_the_last_stripe_fails_without_writing(tmp_path, capsys):
     assert detail.call_count == 8
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "x.ppm").exists()
+
+
+FUSE_TESTS = (
+    test_fuse_multiple_of_eight_no_padding,
+    test_fuse_pads_and_crops_odd_sizes,
+    test_fuse_dim_mismatch_is_validation_error,
+    test_fuse_missing_file_is_io_error,
+    test_fuse_corrupt_weights_is_validation_error,
+    test_fuse_non_finite_weights_fail_before_any_forward_pass,
+    test_fuse_nan_in_the_last_stripe_fails_without_writing,
+)
+
+
+@pytest.mark.parametrize(
+    "test",
+    [pytest.param(test, marks=getattr(test, "pytestmark", []), id=test.__name__) for test in FUSE_TESTS],
+)
+def test_fuse_tests_pass_on_two_threads(test, request):
+    args = {name: request.getfixturevalue(name) for name in inspect.signature(test).parameters}
+    with mock.patch.object(fusion, "FUSE_THREADS", 2):
+        test(**args)
+

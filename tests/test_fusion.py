@@ -1,5 +1,10 @@
 import dataclasses
+import inspect
+import os
+import sys
+import threading
 import tracemalloc
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -98,34 +103,42 @@ def forward_with_detail_output(graph, weights, under, over):
     return out, seen[graph.branches[1][1][-1].name]
 
 
+def threads(n):
+    """Run the tiled executor on n threads, the calling thread included."""
+    return mock.patch.object(fusion, "FUSE_THREADS", n)
+
+
 @st.composite
 def shapes_and_tiles(draw):
     h = 8 * draw(st.integers(1, 20))
     w = 8 * draw(st.integers(1, 20))
-    return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(0, 2**16))
+    return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(0, 2**16)), draw(st.integers(1, 4))
 
 
 # 7: residual tiles; 32: 128-px groups leave a 32-px residual group on W=160;
-# 65: one tile per group (65*65 > CHUNK_PIXELS) with residual tiles both ways
-@example(case=(160, 160, 7, 1))
-@example(case=(152, 160, 32, 2))
-@example(case=(160, 136, 65, 3))
-@example(case=(40, 16, 1, 4))
+# 65: one tile per group (65*65 > CHUNK_PIXELS) with residual tiles both ways;
+# (40, 16, 1): 80 groups on 4 threads; (160, 136, 65): fewer groups than threads
+@example(case=(160, 160, 7, 1, 2))
+@example(case=(152, 160, 32, 2, 3))
+@example(case=(160, 136, 65, 3, 4))
+@example(case=(40, 16, 1, 4, 4))
 @given(case=shapes_and_tiles())
 @settings(max_examples=25, deadline=None)
 def test_tiled_equals_unfused_equals_forward(case):
-    h, w, s, seed = case
+    h, w, s, seed, n_threads = case
     graph = build_lightfuse()
     weights = random_weights(seed)
     rng = np.random.default_rng(seed)
     under = rng.uniform(-1, 1, size=(h, w, 3)).astype(np.float32)
     over = rng.uniform(-1, 1, size=(h, w, 3)).astype(np.float32)
     x = np.concatenate((under, over), axis=2)
-    fused, _ = run_detailnet_fused(x, weights, s)
+    with threads(n_threads):
+        fused, _ = run_detailnet_fused(x, weights, s)
+        fused_forward_out = fusion.fused_forward(graph, weights, under, over, s)[0]
     unfused, _ = run_detailnet_unfused(x, weights)
     reference, detail = forward_with_detail_output(graph, weights, under, over)
     assert fused.tobytes() == unfused.tobytes() == detail.tobytes()
-    assert fusion.fused_forward(graph, weights, under, over, s)[0].tobytes() == reference.tobytes()
+    assert fused_forward_out.tobytes() == reference.tobytes()
 
 
 # ------------------------------------------------------------------ traffic
@@ -325,20 +338,21 @@ def edge_padded_reference(graph, weights, under, over):
 @st.composite
 def images_tiles_budgets(draw):
     h, w = draw(st.integers(1, 200)), draw(st.integers(1, 200))
-    return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(1, 4000)), draw(st.integers(0, 2**16))
+    return (h, w, draw(st.integers(1, min(h, w))), draw(st.integers(1, 4000)),
+            draw(st.integers(0, 2**16)), draw(st.integers(1, 4)))
 
 
 # (40, 16, 16, 1): 16-row stripes leave an 8-row residual that joins the
-# stripe above; (200, 200, 200, 1): one stripe, tile as large as the image;
-# (1, 1, 1, 1): 7 rows and columns of edge padding
-@example(case=(40, 16, 16, 1, 0))
-@example(case=(200, 200, 200, 1, 1))
-@example(case=(1, 1, 1, 1, 2))
-@example(case=(197, 61, 3, 500, 3))
+# stripe above; (200, 200, 200, 1): one stripe, tile as large as the image,
+# one group for four threads; (1, 1, 1, 1): 7 rows and columns of edge padding
+@example(case=(40, 16, 16, 1, 0, 2))
+@example(case=(200, 200, 200, 1, 1, 4))
+@example(case=(1, 1, 1, 1, 2, 1))
+@example(case=(197, 61, 3, 500, 3, 3))
 @given(case=images_tiles_budgets())
 @settings(max_examples=30, deadline=None)
 def test_striped_fuse_equals_whole_image_forward(case):
-    h, w, s, budget, seed = case
+    h, w, s, budget, seed, n_threads = case
     graph = build_lightfuse()
     weights = random_weights(seed)
     rng = np.random.default_rng(seed)
@@ -347,10 +361,14 @@ def test_striped_fuse_equals_whole_image_forward(case):
     u, o, reference = edge_padded_reference(graph, weights, under, over)
     _, whole_traffic = run_detailnet_fused(np.concatenate((u, o), axis=2), weights, s)
     hp, wp = u.shape[:2]
-    with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget):
-        fused, traffic = fusion.fuse_images(graph, weights, under, over, s)
-        forward_out, forward_traffic = fusion.fused_forward(graph, weights, u, o, s)
-        stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s, 8))
+    runs = {}
+    for n in sorted({1, n_threads}):
+        with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget), threads(n):
+            fused, traffic = fusion.fuse_images(graph, weights, under, over, s)
+            forward_out, forward_traffic = fusion.fused_forward(graph, weights, u, o, s)
+        runs[n] = (fused.tobytes(), traffic, forward_out.tobytes(), forward_traffic)
+    stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s, 8))
+    assert runs[n_threads] == runs[1]
     assert fused.tobytes() == reference.tobytes()
     assert traffic == forward_traffic == whole_traffic
     assert stripe_tiles == len(tile_grid(hp, wp, s))
@@ -389,3 +407,167 @@ def test_fuse_memory_grows_only_by_its_uint8_output(weights):
     # whole-image float temporaries cost about 80 B per pixel
     small, large = _fuse_peak(weights, 256, 1032), _fuse_peak(weights, 2048, 1032)
     assert (large - small) / ((2048 - 256) * 1032) <= 4
+
+
+def test_fuse_memory_grows_only_by_its_uint8_output_on_two_threads(weights):
+    # tracemalloc traces the worker thread's allocations too
+    with threads(2):
+        test_fuse_memory_grows_only_by_its_uint8_output(weights)
+
+
+# ------------------------------------------------------------------ threads
+
+def test_fuse_threads_default_to_the_usable_cpus(monkeypatch):
+    assert fusion.FUSE_THREADS == fusion._usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fusion._usable_cpus() == 1
+
+
+def test_one_thread_starts_no_thread(weights):
+    under = np.random.default_rng(30).integers(0, 256, size=(40, 48, 3), dtype=np.uint8)
+    expected, _ = fusion.fuse_images(build_lightfuse(), weights, under, under[::-1], 8)
+    with threads(1), mock.patch.object(fusion.threading, "Thread", side_effect=AssertionError):
+        fused, _ = fusion.fuse_images(build_lightfuse(), weights, under, under[::-1], 8)
+    assert fused.tobytes() == expected.tobytes()
+
+
+class Boom(Exception):
+    pass
+
+
+def on_worker(n, boom=None):
+    """A pointwise_channels_first that lets a worker thread make its first n calls.
+
+    The main thread's first call waits until a worker has made them, so a
+    worker is sure to run groups. With `boom`, the worker's n-th call raises it.
+    Returns (patcher, event set after the n-th worker call).
+    """
+    kernel = nn_ops.pointwise_channels_first
+    lock, calls, done = threading.Lock(), [0], threading.Event()
+
+    def patched(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert done.wait(10), "no worker thread ran a group"
+            return kernel(*args)
+        with lock:
+            calls[0] += 1
+            nth = calls[0] == n
+        if nth:
+            done.set()
+            if boom is not None:
+                raise boom
+        return kernel(*args)
+
+    return mock.patch.object(nn_ops, "pointwise_channels_first", patched), done
+
+
+def entry_points(weights):
+    """The three ways into the tiled executor, on a 64x64 pair at tile 8 (8 groups)."""
+    graph = build_lightfuse()
+    rng = np.random.default_rng(31)
+    under8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+    over8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+    under, over = tensor_core.normalize(under8), tensor_core.normalize(over8)
+    return {
+        "run_detailnet_fused": lambda: run_detailnet_fused(np.concatenate((under, over), axis=2), weights, 8),
+        "fused_forward": lambda: fusion.fused_forward(graph, weights, under, over, 8),
+        "fuse_images": lambda: fusion.fuse_images(graph, weights, under8, over8, 8),
+    }
+
+
+@pytest.mark.parametrize("entry", ["run_detailnet_fused", "fused_forward", "fuse_images"])
+def test_worker_exception_surfaces_after_every_thread_is_joined(weights, entry):
+    run = entry_points(weights)[entry]
+    boom = Boom("worker failed")
+    before = threading.active_count()
+    patch, raised = on_worker(4, boom)
+    with threads(2), patch, pytest.raises(Boom) as caught:
+        run()
+    assert raised.is_set()
+    assert caught.value is boom
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("entry", ["fused_forward", "fuse_images"])
+def test_global_branch_exception_surfaces_after_every_thread_is_joined(weights, entry):
+    run = entry_points(weights)[entry]
+    boom = Boom("global branch failed")
+    before = threading.active_count()
+    patch, worker_ran = on_worker(1)
+
+    def failing_global_branch(*args, **kwargs):
+        assert worker_ran.wait(10)
+        raise boom
+
+    with threads(2), patch, mock.patch.object(model, "run_branch", failing_global_branch), \
+            pytest.raises(Boom) as caught:
+        run()
+    assert caught.value is boom
+    assert threading.active_count() == before
+
+
+def test_worker_threads_call_no_public_function(weights):
+    """Every __all__ function runs on the main thread, which traced runs rely on."""
+
+    def main_thread_only(fn):
+        def wrapper(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), fn.__qualname__
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    run = entry_points(weights)["fuse_images"]
+    expected, _ = run()
+    patch, worker_ran = on_worker(1)
+    with ExitStack() as stack:
+        for module in (nn_ops, model, fusion, tensor_core):
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                    stack.enter_context(mock.patch.object(module, name, main_thread_only(obj)))
+        stack.enter_context(threads(2))
+        stack.enter_context(patch)
+        fused, _ = run()
+    assert worker_ran.is_set()
+    assert fused.tobytes() == expected.tobytes()
+
+
+
+def test_workers_run_in_the_callers_errstate(weights):
+    patch, worker_ran = on_worker(1)
+    seen = {}
+    with threads(2), patch:
+        kernel = nn_ops.pointwise_channels_first
+
+        def recording(*args):
+            seen[threading.current_thread() is threading.main_thread()] = np.geterr()["over"]
+            return kernel(*args)
+
+        with mock.patch.object(nn_ops, "pointwise_channels_first", recording), np.errstate(over="raise"):
+            run_detailnet_fused(detail_input(64, 64, seed=32), weights, 8)
+    assert worker_ran.is_set()
+    assert seen == {True: "raise", False: "raise"}
+
+
+def test_every_group_runs_once_on_more_threads_than_cpus(weights):
+    x = detail_input(64, 64, seed=33)
+    expected, _ = run_detailnet_fused(x, weights, 2)  # 32 groups of 2x64
+    kernel = nn_ops.pointwise_channels_first
+    lock, calls = threading.Lock(), [0]
+
+    def counting(*args):
+        with lock:
+            calls[0] += 1
+        return kernel(*args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with threads(8), mock.patch.object(nn_ops, "pointwise_channels_first", counting):
+            fused, _ = run_detailnet_fused(x, weights, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls[0] == 32 * 3
+    assert fused.tobytes() == expected.tobytes()
+
