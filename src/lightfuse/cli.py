@@ -100,15 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_file(path, parse):
+    """parse(bytes of the file); a PPM or LFW1 format error names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (tensor_core.PpmParseError, model.WeightFormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _read_image(path) -> np.ndarray:
-    return tensor_core.decode_ppm(Path(path).read_bytes())
+    return _parse_file(path, tensor_core.decode_ppm)
 
 
 def cmd_fuse(args) -> int:
     under = _read_image(args.under)
     over = _read_image(args.over)
     graph = model.build_lightfuse()
-    weights = model.load_weights(Path(args.weights).read_bytes(), graph)
+    weights = _parse_file(args.weights, lambda data: model.load_weights(data, graph))
     fused, traffic = fusion.fuse_images(graph, weights, under, over, args.tile_size)
     Path(args.out).write_bytes(tensor_core.encode_ppm(fused))
     print(traffic.dump())
@@ -175,7 +183,7 @@ def _load_training_triples(data_dir):
         if len(exposures) < 2:
             print(f"warning: {scene}: fewer than two exposures, skipped", file=sys.stderr)
             continue
-        label_img = tensor_core.decode_ppm(label_path.read_bytes())
+        label_img = _read_image(label_path)
         if any(img.shape != label_img.shape for img in exposures):
             print(f"warning: {scene}: image dimensions differ, skipped", file=sys.stderr)
             continue

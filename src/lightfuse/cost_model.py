@@ -14,7 +14,7 @@ report so category breakdowns stay meaningful.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import LayerSpec, ModelGraph, param_entries, spatial_factor
@@ -136,8 +136,7 @@ def analyze(graph: ModelGraph, convention: FlopsConvention = CONVENTIONS["table4
                     LayerCost(layer.name, "pointwise", params_of(layer), Fraction(m * n) * sp * mac)
                 )
             elif layer.kind == "separable":
-                # the depthwise half of a separable layer carries no bias
-                dw = params_of(replace(layer, kind="depthwise", bias=False))
+                dw = k * k * m  # the depthwise half of a separable layer carries no bias
                 entries.append(LayerCost(f"{layer.name}.dw", "depthwise", dw, Fraction(k * k * m) * sp * mac))
                 entries.append(
                     LayerCost(f"{layer.name}.pw", "pointwise", params_of(layer) - dw, Fraction(m * n) * sp * mac)

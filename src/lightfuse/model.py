@@ -35,7 +35,7 @@ __all__ = [
     "load_weights",
 ]
 
-LAYER_KINDS = ("depthwise", "pointwise", "separable", "upsample_nn", "relu", "tanh", "add")
+LAYER_KINDS = ("depthwise", "pointwise", "separable", "upsample_nn", "relu", "tanh")
 
 # Detail-branch layer names and channel widths, input width first.
 DETAIL_LAYER_NAMES = ("d1", "d2", "d3")
@@ -54,7 +54,6 @@ class LayerSpec:
     in_channels: int = 0
     out_channels: int = 0
     stride: int = 1
-    bias: bool = True
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -72,7 +71,6 @@ class ModelGraph:
     name: str
     branches: tuple
     merge_add_tanh: bool
-    input_channels: int = 6
     spatial_divisor: int = 8
 
 
@@ -110,7 +108,6 @@ def build_lightfuse(encoder_relu: bool = True) -> ModelGraph:
         name="lightfuse",
         branches=(("global", tuple(g)), ("detail", tuple(d))),
         merge_add_tanh=True,
-        input_channels=6,
         spatial_divisor=8,
     )
 
@@ -128,7 +125,6 @@ def build_tcnn() -> ModelGraph:
         name="tcnn",
         branches=(("main", tuple(layers)),),
         merge_add_tanh=False,
-        input_channels=6,
         spatial_divisor=1,
     )
 
@@ -143,10 +139,7 @@ def param_entries(layer: LayerSpec):
     n, k = layer.name, layer.k
     m, c = layer.in_channels, layer.out_channels
     if layer.kind == "depthwise":
-        entries = [(f"{n}.weight", (k, k, m), k * k)]
-        if layer.bias:
-            entries.append((f"{n}.bias", (c,), 0))
-        return entries
+        return [(f"{n}.weight", (k, k, m), k * k), (f"{n}.bias", (c,), 0)]
     if layer.kind == "pointwise":
         return [(f"{n}.weight", (m, c), m), (f"{n}.bias", (c,), 0)]
     if layer.kind == "separable":
@@ -198,9 +191,12 @@ def _param_of_shape(weights: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def layer_kernels(layer: LayerSpec, weights: dict):
-    """Kernel objects for a parameterized layer, reading from the store.
+    """The nn_ops ops a layer runs, in order, for nn_ops.op_forward.
 
-    Tensors are read in param_entries order; each must have its graph shape.
+    A parameterized layer's kernels read their tensors from the store in
+    param_entries order, each of its graph shape; a separable layer is a
+    bias-free depthwise kernel then a pointwise one. A parameter-free
+    layer is the one op named by its kind.
     """
     params = [_param_of_shape(weights, key, shape) for key, shape, _ in param_entries(layer)]
     if layer.kind == "depthwise":
@@ -210,7 +206,7 @@ def layer_kernels(layer: LayerSpec, weights: dict):
     if layer.kind == "separable":
         dw, pw, pb = params
         return (DepthwiseKernel(dw, None, layer.stride), PointwiseKernel(pw, pb))
-    raise ValueError(f"layer '{layer.name}' has no kernels")
+    return (layer.kind,)
 
 
 def spatial_factor(layer: LayerSpec) -> Fraction:
@@ -227,23 +223,9 @@ def spatial_factor(layer: LayerSpec) -> Fraction:
 
 
 def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray) -> np.ndarray:
-    kind = layer.kind
-    if kind == "depthwise":
-        (kern,) = layer_kernels(layer, weights)
-        return nn_ops.depthwise_forward(x, kern)
-    if kind == "pointwise":
-        (kern,) = layer_kernels(layer, weights)
-        return nn_ops.pointwise_forward(x, kern)
-    if kind == "separable":
-        dw, pw = layer_kernels(layer, weights)
-        return nn_ops.pointwise_forward(nn_ops.depthwise_forward(x, dw), pw)
-    if kind == "upsample_nn":
-        return nn_ops.upsample_nn(x)
-    if kind == "relu":
-        return nn_ops.relu(x)
-    if kind == "tanh":
-        return nn_ops.tanh(x)
-    raise ValueError(f"layer kind '{kind}' is only valid in the merge stage")
+    for op in layer_kernels(layer, weights):
+        x = nn_ops.op_forward(op, x)
+    return x
 
 
 def run_branch(layers, weights: dict, x: np.ndarray, record=None) -> np.ndarray:

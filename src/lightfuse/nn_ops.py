@@ -5,6 +5,11 @@ that every other execution path is checked against. Accumulation order is
 pinned - bias first, then ascending input channel / kernel position - so
 alternative schedules can be compared bit for bit.
 
+This module is the one owner of which forward goes with which backward:
+op_forward and op_backward take a primitive - a DepthwiseKernel, a
+PointwiseKernel, or one of "relu", "tanh", "upsample_nn" - and are what
+model.run_layer, training's backward walk and grad_check call.
+
 The 1x1 kernel works channels-first: pixels are transposed in blocks of
 CHUNK_PIXELS into (channels, pixels) buffers, so every step of the pinned
 order is one long contiguous multiply and add per output channel. Each
@@ -12,7 +17,7 @@ element still sees bias, then + w[m] * x[m] for m ascending, rounded after
 every operation, so the layout does not change a single output bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -241,42 +246,63 @@ def tanh_backward(x, grad):
     return grad * (1.0 - t * t)
 
 
+def op_forward(op, x: np.ndarray) -> np.ndarray:
+    """Forward of one primitive: a kernel, or "relu", "tanh", "upsample_nn".
+
+    Left out of __all__ like pointwise_channels_first. The kernels are
+    called through this module's globals, so per-function traces still see
+    each of them.
+    """
+    if isinstance(op, DepthwiseKernel):
+        return depthwise_forward(x, op)
+    if isinstance(op, PointwiseKernel):
+        return pointwise_forward(x, op)
+    if op == "relu":
+        return relu(x)
+    if op == "tanh":
+        return tanh(x)
+    if op == "upsample_nn":
+        return upsample_nn(x)
+    raise ValueError(f"unknown op {op!r}")
+
+
+def op_backward(op, x: np.ndarray, grad: np.ndarray) -> tuple:
+    """Backward of op_forward(op, x): (dx, parameter gradients).
+
+    The parameter gradients are (dweights, dbias), or (dweights,) for a
+    bias-free depthwise kernel, and () for the parameter-free ops.
+    """
+    if isinstance(op, DepthwiseKernel):
+        dx, dw, db = depthwise_backward(x, op, grad)
+        return dx, (dw,) if op.bias is None else (dw, db)
+    if isinstance(op, PointwiseKernel):
+        dx, dw, db = pointwise_backward(x, op, grad)
+        return dx, (dw, db)
+    if op == "relu":
+        return relu_backward(x, grad), ()
+    if op == "tanh":
+        return tanh_backward(x, grad), ()
+    if op == "upsample_nn":
+        return upsample_backward(grad), ()
+    raise ValueError(f"unknown op {op!r}")
+
+
 def _op_closure(op):
     """Forward/backward closures plus the parameter tuple for grad_check."""
-    if isinstance(op, DepthwiseKernel):
-        params = (op.weights,) if op.bias is None else (op.weights, op.bias)
-
-        def fwd(x, w, b=None):
-            return depthwise_forward(x, DepthwiseKernel(w, b, op.stride))
-
-        def bwd(x, g):
-            dx, dw, db = depthwise_backward(x, op, g)
-            return dx, (dw,) if op.bias is None else (dw, db)
-
-        return fwd, params, bwd
-    if isinstance(op, PointwiseKernel):
-        def fwd(x, w, b):
-            return pointwise_forward(x, PointwiseKernel(w, b))
-
-        def bwd(x, g):
-            dx, dw, db = pointwise_backward(x, op, g)
-            return dx, (dw, db)
-
-        return fwd, (op.weights, op.bias), bwd
-    if op == "relu":
-        return (lambda x: relu(x)), (), (lambda x, g: (relu_backward(x, g), ()))
-    if op == "tanh":
-        return (lambda x: tanh(x)), (), (lambda x, g: (tanh_backward(x, g), ()))
-    if op == "upsample_nn":
-        return (lambda x: upsample_nn(x)), (), (lambda x, g: (upsample_backward(g), ()))
     if isinstance(op, tuple) and len(op) == 2 and op[0] == "add":
         other = op[1]
-        return (
-            (lambda x: add(x, other.astype(x.dtype))),
-            (),
-            (lambda x, g: (g, ())),
-        )
-    raise ValueError(f"grad_check does not know op {op!r}")
+        return (lambda x: add(x, other.astype(x.dtype))), (), (lambda x, g: (g, ()))
+    if isinstance(op, (DepthwiseKernel, PointwiseKernel)):
+        names = ("weights",) if op.bias is None else ("weights", "bias")
+    elif isinstance(op, str) and op in ("relu", "tanh", "upsample_nn"):
+        names = ()
+    else:
+        raise ValueError(f"grad_check does not know op {op!r}")
+
+    def fwd(x, *params):
+        return op_forward(replace(op, **dict(zip(names, params))) if names else op, x)
+
+    return fwd, tuple(getattr(op, n) for n in names), (lambda x, g: op_backward(op, x, g))
 
 
 def grad_check(op, x: np.ndarray, seed: int = 0, eps: float = 1e-3) -> float:

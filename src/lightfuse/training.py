@@ -157,26 +157,14 @@ def _backward(graph, weights, branch_recs, merge_pre, out_grad):
         branch_grads = [out_grad]
     for recs, g in zip(branch_recs, branch_grads):
         for layer, x_in, _ in reversed(recs):
-            kind = layer.kind
-            pgrads = ()  # in param_entries order; a bias-free depthwise drops its None
-            if kind == "depthwise":
-                (kern,) = model.layer_kernels(layer, weights)
-                g, *pgrads = nn_ops.depthwise_backward(x_in, kern, g)
-            elif kind == "pointwise":
-                (kern,) = model.layer_kernels(layer, weights)
-                g, *pgrads = nn_ops.pointwise_backward(x_in, kern, g)
-            elif kind == "separable":
-                dwk, pwk = model.layer_kernels(layer, weights)
-                mid = nn_ops.depthwise_forward(x_in, dwk)
-                g, dpw, dpb = nn_ops.pointwise_backward(mid, pwk, g)
-                g, ddw, _ = nn_ops.depthwise_backward(x_in, dwk, g)
-                pgrads = (ddw, dpw, dpb)
-            elif kind == "upsample_nn":
-                g = nn_ops.upsample_backward(g)
-            elif kind == "relu":
-                g = nn_ops.relu_backward(x_in, g)
-            elif kind == "tanh":
-                g = nn_ops.tanh_backward(x_in, g)
+            ops = model.layer_kernels(layer, weights)
+            inputs = [x_in]
+            for op in ops[:-1]:  # rebuilds a separable layer's midpoint
+                inputs.append(nn_ops.op_forward(op, inputs[-1]))
+            pgrads = []  # in param_entries order: the last op's come last
+            for op, x_op in zip(reversed(ops), reversed(inputs)):
+                g, op_grads = nn_ops.op_backward(op, x_op, g)
+                pgrads[:0] = op_grads
             grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))
     return grads
 

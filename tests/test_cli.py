@@ -263,6 +263,35 @@ def test_train_missing_directory(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope"), str(tmp_path / "w.lfw")]) == 2
 
 
+MALFORMED_ARGS = {
+    "fuse_under": lambda bad, good, w, tmp: ["fuse", bad, good, tmp + "/x.ppm", "--weights", w],
+    "fuse_over": lambda bad, good, w, tmp: ["fuse", good, bad, tmp + "/x.ppm", "--weights", w],
+    "eval_a": lambda bad, good, w, tmp: ["eval", bad, good],
+    "eval_b": lambda bad, good, w, tmp: ["eval", good, bad],
+    "weights": lambda bad, good, w, tmp: ["fuse", good, good, tmp + "/x.ppm", "--weights", bad],
+    "label": lambda bad, good, w, tmp: ["train", tmp + "/data", tmp + "/out.lfw", "--steps", "1"],
+}
+
+
+@pytest.mark.parametrize("which", sorted(MALFORMED_ARGS))
+def test_parse_error_names_the_malformed_file(which, tmp_path, weights_file, capsys):
+    good = tmp_path / "good.ppm"
+    write_ppm(good, rand_img(16, 16, 20))
+    if which == "weights":
+        bad = tmp_path / "bad.lfw"
+        bad.write_bytes(b"LFW0" + weights_file.read_bytes()[4:])
+    elif which == "label":
+        make_scene(tmp_path / "data" / "scene1", seed=21)
+        bad = tmp_path / "data" / "scene1" / "label.ppm"
+        bad.write_bytes(bad.read_bytes()[:-10])
+    else:
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(encode_ppm(rand_img(16, 16, 22))[:-10])
+    argv = MALFORMED_ARGS[which](str(bad), str(good), str(weights_file), str(tmp_path))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_fuse_non_finite_weights_fail_before_any_forward_pass(tmp_path, capsys):
     graph = build_lightfuse()
     store = init_weights(graph, 0)

@@ -60,7 +60,7 @@ def test_mutated_ppm_raises_only_ppm_parse_error(data):
 
 # one 1x1 conv: a 56-byte LFW1 file, so most edits land in its headers
 _TINY = ModelGraph(
-    "tiny", (("main", (LayerSpec("p", "pointwise", in_channels=2, out_channels=1),)),), False, 2, 1
+    "tiny", (("main", (LayerSpec("p", "pointwise", in_channels=2, out_channels=1),)),), False, 1
 )
 _STORES = [
     (_TINY, save_weights(init_weights(_TINY, 1), _TINY)),

@@ -122,7 +122,7 @@ def test_tcnn_totals():
 
 def test_totals_invariant_under_branch_reorder():
     g = build_lightfuse()
-    swapped = ModelGraph(g.name, (g.branches[1], g.branches[0]), True, 6, 8)
+    swapped = ModelGraph(g.name, (g.branches[1], g.branches[0]), True, 8)
     for conv in CONVENTIONS.values():
         a = analyze(g, conv)
         b = analyze(swapped, conv)
@@ -147,7 +147,7 @@ def test_render_kv_lines():
 
 
 def test_empty_graph_reports_zero():
-    empty = ModelGraph("empty", (("main", ()),), False, 6, 1)
+    empty = ModelGraph("empty", (("main", ()),), False, 1)
     report = analyze(empty, CONVENTIONS["table4"])
     assert report.params_total == 0
     assert report.flops_total == 0

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from lightfuse import model
+from lightfuse import model, nn_ops
 from lightfuse.model import (
     ModelGraph,
     WeightFormatError,
@@ -144,12 +144,28 @@ def test_branch_order_does_not_change_output():
         name=g.name,
         branches=(g.branches[1], g.branches[0]),
         merge_add_tanh=True,
-        input_channels=6,
         spatial_divisor=8,
     )
     w = init_weights(g, 9)
     u, o = rand_pair(16, 4)
     assert forward(g, w, u, o).tobytes() == forward(swapped, w, u, o).tobytes()
+
+
+@pytest.mark.parametrize("kind", model.LAYER_KINDS)
+def test_every_layer_kind_runs_its_ops_and_grad_checks_them(kind):
+    layer = model.LayerSpec("l", kind, k=3, in_channels=4, out_channels=4)
+    graph = ModelGraph("one", (("main", (layer,)),), False, 1)
+    weights = init_weights(graph, 12)
+    for key in weights:
+        if key.endswith(".bias"):
+            weights[key] = np.random.default_rng(13).uniform(-0.1, 0.1, 4).astype(np.float32)
+    x = np.random.default_rng(14).uniform(-0.5, 0.5, (6, 8, 4)).astype(np.float32)
+    x += np.sign(x) * np.float32(0.01)  # relu inputs off the kink
+    y = x
+    for op in model.layer_kernels(layer, weights):
+        assert nn_ops.grad_check(op, y, seed=15) < 1e-3
+        y = nn_ops.op_forward(op, y)
+    assert model.run_layer(layer, weights, x).tobytes() == y.tobytes()
 
 
 def test_global_encoder_downsamples_by_eight():

@@ -284,3 +284,8 @@ def test_grad_check_parameterless_ops():
     assert grad_check("relu", x, seed=5) < 1e-3
     assert grad_check("upsample_nn", x, seed=6) < 1e-3
     assert grad_check(("add", rand((5, 6, 4), seed=33)), x, seed=7) < 1e-3
+
+
+def test_grad_check_rejects_unknown_op():
+    with pytest.raises(ValueError, match="grad_check does not know op 'nope'"):
+        grad_check("nope", rand((2, 2, 1), seed=34))

@@ -161,54 +161,56 @@ def test_perceptual_gradient_matches_finite_differences():
 # ---------------------------------------------------------- graph gradients
 
 def test_end_to_end_gradients_smoke():
-    graph = build_lightfuse()
-    weights = init_weights(graph, 11)
-    rng = np.random.default_rng(123)
-    for key in weights:
-        if key.endswith(".bias"):
-            weights[key] = rng.uniform(-0.1, 0.1, size=weights[key].shape).astype(np.float32)
-    u = rng.uniform(-1, 1, (8, 8, 3)).astype(np.float32)
-    o = rng.uniform(-1, 1, (8, 8, 3)).astype(np.float32)
-    label = rng.uniform(-0.8, 0.8, (8, 8, 3)).astype(np.float32)
-    _, _, grads = loss_and_grads(graph, weights, u, o, label)
+    # tcnn is the one graph whose backward runs a tanh layer and full-resolution
+    # separable layers
+    for graph in (build_lightfuse(), build_tcnn()):
+        weights = init_weights(graph, 11)
+        rng = np.random.default_rng(123)
+        for key in weights:
+            if key.endswith(".bias"):
+                weights[key] = rng.uniform(-0.1, 0.1, size=weights[key].shape).astype(np.float32)
+        u = rng.uniform(-1, 1, (8, 8, 3)).astype(np.float32)
+        o = rng.uniform(-1, 1, (8, 8, 3)).astype(np.float32)
+        label = rng.uniform(-0.8, 0.8, (8, 8, 3)).astype(np.float32)
+        _, _, grads = loss_and_grads(graph, weights, u, o, label)
 
-    w64 = {k: v.astype(np.float64) for k, v in weights.items()}
-    u64, o64, lab64 = u.astype(np.float64), o.astype(np.float64), label.astype(np.float64)
-    x64 = np.concatenate([u64, o64], axis=2)
+        w64 = {k: v.astype(np.float64) for k, v in weights.items()}
+        u64, o64, lab64 = u.astype(np.float64), o.astype(np.float64), label.astype(np.float64)
+        x64 = np.concatenate([u64, o64], axis=2)
 
-    def loss_and_relu_masks():
-        out, _, recs = training._forward_cached(graph, w64, x64)
-        masks = b"".join(
-            (x_in > 0).tobytes()
-            for branch in recs
-            for layer, x_in, _ in branch
-            if layer.kind == "relu"
-        )
-        d = out - lab64
-        return float(np.mean(d * d)), masks
+        def loss_and_relu_masks():
+            out, _, recs = training._forward_cached(graph, w64, x64)
+            masks = b"".join(
+                (x_in > 0).tobytes()
+                for branch in recs
+                for layer, x_in, _ in branch
+                if layer.kind == "relu"
+            )
+            d = out - lab64
+            return float(np.mean(d * d)), masks
 
-    eps = 1e-4
-    coords = [(k, i) for k in sorted(grads) for i in range(weights[k].size)]
-    order = np.random.default_rng(7).permutation(len(coords))
-    checked = 0
-    for ci in order:
-        key, idx = coords[ci]
-        flat = w64[key].reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + eps
-        jp, mp = loss_and_relu_masks()
-        flat[idx] = orig - eps
-        jm, mm = loss_and_relu_masks()
-        flat[idx] = orig
-        if mp != mm:
-            continue  # a relu flipped inside the interval: finite differences invalid there
-        numeric = (jp - jm) / (2 * eps)
-        analytic = float(grads[key].reshape(-1)[idx])
-        assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) < 1e-3
-        checked += 1
-        if checked >= 15:
-            break
-    assert checked >= 15
+        eps = 1e-4
+        coords = [(k, i) for k in sorted(grads) for i in range(weights[k].size)]
+        order = np.random.default_rng(7).permutation(len(coords))
+        checked = 0
+        for ci in order:
+            key, idx = coords[ci]
+            flat = w64[key].reshape(-1)
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            jp, mp = loss_and_relu_masks()
+            flat[idx] = orig - eps
+            jm, mm = loss_and_relu_masks()
+            flat[idx] = orig
+            if mp != mm:
+                continue  # a relu flipped inside the interval: finite differences invalid there
+            numeric = (jp - jm) / (2 * eps)
+            analytic = float(grads[key].reshape(-1)[idx])
+            assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) < 1e-3
+            checked += 1
+            if checked >= 15:
+                break
+        assert checked >= 15
 
 
 # ------------------------------------------------------------ forward walk
