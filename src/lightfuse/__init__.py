@@ -7,7 +7,6 @@ from .fusion import (
     fused_forward,
     run_detailnet_fused,
     run_detailnet_unfused,
-    sweep_tile_sizes,
 )
 from .metrics import extract_patches, psnr, select_extreme_pair, ssim
 from .model import (

@@ -117,7 +117,7 @@ def cmd_fuse(args) -> int:
     over = _read_image(args.over)
     graph = model.build_lightfuse()
     weights = _parse_file(args.weights, lambda data: model.load_weights(data, graph))
-    fused, traffic = fusion.fuse_images(graph, weights, under, over, args.tile_size)
+    fused, traffic = fusion.fuse_images(weights, under, over, args.tile_size)
     Path(args.out).write_bytes(tensor_core.encode_ppm(fused))
     print(traffic.dump())
     return EXIT_OK
@@ -183,7 +183,11 @@ def _load_training_triples(data_dir):
         if len(exposures) < 2:
             print(f"warning: {scene}: fewer than two exposures, skipped", file=sys.stderr)
             continue
-        label_img = _read_image(label_path)
+        try:
+            label_img = tensor_core.decode_ppm(label_path.read_bytes())
+        except tensor_core.PpmParseError as exc:
+            print(f"warning: {label_path}: not a valid PPM ({exc}), skipped", file=sys.stderr)
+            continue
         if any(img.shape != label_img.shape for img in exposures):
             print(f"warning: {scene}: image dimensions differ, skipped", file=sys.stderr)
             continue

@@ -1,14 +1,14 @@
 """Tile-fused execution of the detail branch plus an off-chip traffic model.
 
-The executor reads its chain from the detail branch of
-model.build_lightfuse(): each 1x1 conv there, with the ReLU after it, is one
-step, and the kernels come from model.layer_kernels, which checks every
-tensor against the graph. The chain is evaluated tile by tile: an input
-tile is loaded once, carried through every step in on-chip buffers, and
-only the final features are written back. Because 1x1 convs have no
-spatial extent, tiles never overlap and edge tiles are simply the residual
-rectangles, so any tiling is bit-identical to the layer-by-layer reference
-path (both run the same fixed-order kernel).
+Both branches come from model.build_lightfuse(), the one graph this module
+runs. The executor reads its chain from the detail branch: each 1x1 conv
+there, with the ReLU after it, is one step, and the kernels come from
+model.layer_kernels, which checks every tensor against the graph. The chain
+is evaluated tile by tile: an input tile is loaded once, carried through
+every step in on-chip buffers, and only the final features are written back.
+Because 1x1 convs have no spatial extent, tiles never overlap and edge tiles
+are simply the residual rectangles, so any tiling is bit-identical to the
+layer-by-layer reference path (both run the same fixed-order kernel).
 
 On the host, whole tiles that sit side by side in one tile row are run
 together: as many as fit in nn_ops.CHUNK_PIXELS pixels (at least one) are
@@ -68,21 +68,19 @@ __all__ = [
     "tile_grid",
     "run_detailnet_fused",
     "run_detailnet_unfused",
-    "sweep_tile_sizes",
     "fused_forward",
     "fuse_images",
 ]
 
 _BYTES_F32 = 4
-# The detail branch (1x1 convs, each followed by a ReLU), its 1x1 convs and
-# the channel widths along the chain (6, 32, 32, 3).
-_DETAIL = dict(model.build_lightfuse().branches)["detail"]
+# The graph, its two branches, the detail branch's 1x1 convs (each followed
+# by a ReLU) and the channel widths along that chain (6, 32, 32, 3).
+_GRAPH = model.build_lightfuse()
+_GLOBAL, _DETAIL = (layers for _, layers in _GRAPH.branches)
 _CHAIN = tuple(layer for layer in _DETAIL if layer.kind == "pointwise")
 _WIDTHS = (_CHAIN[0].in_channels,) + tuple(layer.out_channels for layer in _CHAIN)
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
-# The graphs the stripe halo rule holds for.
-_FUSION_GRAPHS = (model.build_lightfuse(True), model.build_lightfuse(False))
 
 # Output pixels per forward stripe (padded width times rows, at least
 # lcm(8, s) rows): 64 rows at W=1032, where the stripe buffers of a fuse
@@ -254,15 +252,9 @@ def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
     return model.run_branch(_DETAIL, weights, x), traffic
 
 
-def sweep_tile_sizes(dims: tuple, s_values) -> list:
-    """(s, peak_onchip_bytes) per tile size; traffic does not depend on s."""
-    h, w = dims
-    return [(s, _fused_traffic(h, w, _tile_side(s, h, w)).peak_onchip_bytes) for s in s_values]
-
-
-def _stripes(h: int, w: int, s: int, divisor: int):
+def _stripes(h: int, w: int, s: int):
     """[r0, r1) output-row ranges of the forward stripes of an h x w input."""
-    unit = math.lcm(divisor, s)
+    unit = math.lcm(_GRAPH.spatial_divisor, s)
     step = unit * max(1, FUSE_STRIPE_PIXELS // (unit * w))
     bounds = list(range(0, h, step)) + [h]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < s:
@@ -270,25 +262,22 @@ def _stripes(h: int, w: int, s: int, divisor: int):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_stripes(graph, weights: dict, h: int, w: int, tile, rows_in, rows_out) -> TrafficReport:
+def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> TrafficReport:
     """The forward pass of an h x w input (multiples of 8), stripe by stripe.
 
     rows_in(a, b) returns input rows [a, b) as an (b - a, w, 6) tensor;
     rows_out(r0, r1, y) receives the finite merged output rows [r0, r1).
     Returns the whole image's TrafficReport.
     """
-    if graph not in _FUSION_GRAPHS:
-        raise ValueError("tile-fused execution requires the dual-branch fusion graph")
-    global_layers = dict(graph.branches)["global"]
     s = _tile_side(tile, h, w)
-    halo = graph.spatial_divisor  # one g3 row
-    for r0, r1 in _stripes(h, w, s, graph.spatial_divisor):
+    halo = _GRAPH.spatial_divisor  # one g3 row
+    for r0, r1 in _stripes(h, w, s):
         a = max(0, r0 - halo)
         x = rows_in(a, r1)
         g_out = []
         d_out, _ = run_detailnet_fused(
             x[r0 - a :], weights, s,
-            alongside=lambda: g_out.append(model.run_branch(global_layers, weights, x)),
+            alongside=lambda: g_out.append(model.run_branch(_GLOBAL, weights, x)),
         )
         del x
         # both branches compute in result_type(input, weights), so the merge
@@ -299,13 +288,13 @@ def _run_stripes(graph, weights: dict, h: int, w: int, tile, rows_in, rows_out) 
     return _fused_traffic(h, w, s)
 
 
-def fused_forward(graph, weights: dict, under, over, tile) -> tuple:
+def fused_forward(weights: dict, under, over, tile) -> tuple:
     """Full forward pass in stripes, the detail branch run through the tiled executor.
 
-    Returns (output, TrafficReport). Bit-identical to model.forward for the
-    dual-branch graph.
+    Returns (output, TrafficReport). Bit-identical to
+    model.forward(model.build_lightfuse(), ...).
     """
-    model.check_pair(graph, under, over)
+    model.check_pair(_GRAPH, under, over)
     h, w = under.shape[:2]
     out = None
 
@@ -316,13 +305,12 @@ def fused_forward(graph, weights: dict, under, over, tile) -> tuple:
         out[r0:r1] = y
 
     traffic = _run_stripes(
-        graph, weights, h, w, tile,
-        lambda a, b: np.concatenate((under[a:b], over[a:b]), axis=2), rows_out,
+        weights, h, w, tile, lambda a, b: np.concatenate((under[a:b], over[a:b]), axis=2), rows_out
     )
     return out, traffic
 
 
-def fuse_images(graph, weights: dict, under: np.ndarray, over: np.ndarray, tile) -> tuple:
+def fuse_images(weights: dict, under: np.ndarray, over: np.ndarray, tile) -> tuple:
     """Fuse an 8-bit exposure pair of any size; returns (uint8 image, TrafficReport).
 
     Equal byte for byte to denormalize(model.forward(...)) on the pair
@@ -337,7 +325,7 @@ def fuse_images(graph, weights: dict, under: np.ndarray, over: np.ndarray, tile)
     if under.shape != over.shape:
         raise ValueError(f"dimension mismatch: {under.shape[:2]} vs {over.shape[:2]}")
     h, w = under.shape[:2]
-    div = graph.spatial_divisor
+    div = _GRAPH.spatial_divisor
     hp, wp = h + (-h) % div, w + (-w) % div
     fused = np.empty_like(under)
 
@@ -355,4 +343,4 @@ def fuse_images(graph, weights: dict, under: np.ndarray, over: np.ndarray, tile)
         fused[r0:r1] = tensor_core.denormalize(y[: r1 - r0, :w])
 
     side = min(int(tile), hp, wp)
-    return fused, _run_stripes(graph, weights, hp, wp, side, rows_in, rows_out)
+    return fused, _run_stripes(weights, hp, wp, side, rows_in, rows_out)

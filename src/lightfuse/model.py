@@ -26,7 +26,6 @@ __all__ = [
     "graph_param_entries",
     "count_params",
     "init_weights",
-    "get_param",
     "layer_kernels",
     "run_layer",
     "run_branch",
@@ -78,22 +77,19 @@ def _relu_after(name, channels):
     return LayerSpec(f"{name}_relu", "relu", in_channels=channels, out_channels=channels)
 
 
-def build_lightfuse(encoder_relu: bool = True) -> ModelGraph:
+def build_lightfuse() -> ModelGraph:
     """The dual-branch fusion graph (1,574 parameters).
 
-    encoder_relu toggles the activations after the global-branch encoder
-    layers, which are otherwise a free design choice.
+    fusion's stripe halo of 8 input rows relies on the global branch
+    encoding with exactly these three stride-2 3x3 layers.
     """
-    g = [LayerSpec("g1", "depthwise", k=3, in_channels=6, out_channels=6, stride=2)]
-    if encoder_relu:
-        g.append(_relu_after("g1", 6))
-    g.append(LayerSpec("g2", "depthwise", k=3, in_channels=6, out_channels=6, stride=2))
-    if encoder_relu:
-        g.append(_relu_after("g2", 6))
-    g.append(LayerSpec("g3", "separable", k=3, in_channels=6, out_channels=3, stride=2))
-    if encoder_relu:
-        g.append(_relu_after("g3", 3))
-    g += [
+    g = [
+        LayerSpec("g1", "depthwise", k=3, in_channels=6, out_channels=6, stride=2),
+        _relu_after("g1", 6),
+        LayerSpec("g2", "depthwise", k=3, in_channels=6, out_channels=6, stride=2),
+        _relu_after("g2", 6),
+        LayerSpec("g3", "separable", k=3, in_channels=6, out_channels=3, stride=2),
+        _relu_after("g3", 3),
         LayerSpec("up1", "upsample_nn", in_channels=3, out_channels=3),
         LayerSpec("up2", "upsample_nn", in_channels=3, out_channels=3),
         LayerSpec("up3", "upsample_nn", in_channels=3, out_channels=3),
@@ -176,15 +172,11 @@ def init_weights(graph: ModelGraph, seed: int) -> dict:
     return store
 
 
-def get_param(weights: dict, key: str) -> np.ndarray:
+def _param_of_shape(weights: dict, key: str, shape: tuple) -> np.ndarray:
     try:
-        return weights[key]
+        arr = weights[key]
     except KeyError:
         raise WeightFormatError(f"missing parameter '{key}'") from None
-
-
-def _param_of_shape(weights: dict, key: str, shape: tuple) -> np.ndarray:
-    arr = get_param(weights, key)
     if arr.shape != shape:
         raise WeightFormatError(f"shape mismatch for '{key}': store {arr.shape}, graph {shape}")
     return arr

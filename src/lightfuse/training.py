@@ -71,16 +71,16 @@ class IdentityExtractor:
 class RandomConvExtractor:
     """Fixed-seed two-stage conv extractor standing in for a pretrained net.
 
-    Stage 1 is a 3x3 depthwise conv, stage 2 a channel-expanding 1x1 conv,
+    Stage 1 is a 3x3 depthwise conv, stage 2 a 1x1 conv from 3 to 8 channels,
     each followed by ReLU. Weights are frozen at construction.
     """
 
-    def __init__(self, seed: int = 0, channels: int = 3, hidden: int = 8):
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
-        dw = rng.uniform(-math.sqrt(6.0 / 9.0), math.sqrt(6.0 / 9.0), size=(3, 3, channels))
-        pw = rng.uniform(-math.sqrt(6.0 / channels), math.sqrt(6.0 / channels), size=(channels, hidden))
+        dw = rng.uniform(-math.sqrt(6.0 / 9.0), math.sqrt(6.0 / 9.0), size=(3, 3, 3))
+        pw = rng.uniform(-math.sqrt(6.0 / 3.0), math.sqrt(6.0 / 3.0), size=(3, 8))
         self._dw = DepthwiseKernel(dw.astype(np.float32), None, 1)
-        self._pw = PointwiseKernel(pw.astype(np.float32), np.zeros(hidden, dtype=np.float32))
+        self._pw = PointwiseKernel(pw.astype(np.float32), np.zeros(8, dtype=np.float32))
 
     def features(self, x):
         f1 = nn_ops.relu(nn_ops.depthwise_forward(x, self._dw))

@@ -259,6 +259,19 @@ def test_train_scene_without_label_is_skipped(tmp_path, capsys):
     assert "label.ppm" in capsys.readouterr().err
 
 
+def test_train_scene_with_malformed_label_is_skipped(tmp_path, capsys):
+    make_scene(tmp_path / "data" / "scene1", seed=21)
+    make_scene(tmp_path / "data" / "scene2", seed=22)
+    bad = tmp_path / "data" / "scene1" / "label.ppm"
+    bad.write_bytes(bad.read_bytes()[:-10])
+    code = cli.main(["train", str(tmp_path / "data"), str(tmp_path / "w.lfw"), "--steps", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert " triples=1 " in out
+    assert f"warning: {bad}: not a valid PPM (" in err
+    assert err.rstrip().endswith("), skipped")
+
+
 def test_train_missing_directory(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope"), str(tmp_path / "w.lfw")]) == 2
 
@@ -269,7 +282,6 @@ MALFORMED_ARGS = {
     "eval_a": lambda bad, good, w, tmp: ["eval", bad, good],
     "eval_b": lambda bad, good, w, tmp: ["eval", good, bad],
     "weights": lambda bad, good, w, tmp: ["fuse", good, good, tmp + "/x.ppm", "--weights", bad],
-    "label": lambda bad, good, w, tmp: ["train", tmp + "/data", tmp + "/out.lfw", "--steps", "1"],
 }
 
 
@@ -280,10 +292,6 @@ def test_parse_error_names_the_malformed_file(which, tmp_path, weights_file, cap
     if which == "weights":
         bad = tmp_path / "bad.lfw"
         bad.write_bytes(b"LFW0" + weights_file.read_bytes()[4:])
-    elif which == "label":
-        make_scene(tmp_path / "data" / "scene1", seed=21)
-        bad = tmp_path / "data" / "scene1" / "label.ppm"
-        bad.write_bytes(bad.read_bytes()[:-10])
     else:
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(encode_ppm(rand_img(16, 16, 22))[:-10])

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import os
 import sys
@@ -17,7 +16,6 @@ from lightfuse.fusion import (
     TrafficReport,
     run_detailnet_fused,
     run_detailnet_unfused,
-    sweep_tile_sizes,
     tile_grid,
 )
 from lightfuse.model import build_lightfuse, init_weights
@@ -134,7 +132,7 @@ def test_tiled_equals_unfused_equals_forward(case):
     x = np.concatenate((under, over), axis=2)
     with threads(n_threads):
         fused, _ = run_detailnet_fused(x, weights, s)
-        fused_forward_out = fusion.fused_forward(graph, weights, under, over, s)[0]
+        fused_forward_out = fusion.fused_forward(weights, under, over, s)[0]
     unfused, _ = run_detailnet_unfused(x, weights)
     reference, detail = forward_with_detail_output(graph, weights, under, over)
     assert fused.tobytes() == unfused.tobytes() == detail.tobytes()
@@ -239,8 +237,9 @@ def test_closed_form_traffic_equals_counted_traffic(case):
         assert unfused.tobytes() == np.ascontiguousarray(detail[:h, :w]).tobytes()
 
 
-def test_peak_formula_and_monotone_sweep():
-    rows = sweep_tile_sizes((256, 256), [1, 2, 4, 8, 16, 32])
+def test_peak_formula_and_monotone_sweep(weights):
+    x = detail_input(256, 256, seed=11)
+    rows = [(s, run_detailnet_fused(x, weights, s)[1].peak_onchip_bytes) for s in (1, 2, 4, 8, 16, 32)]
     assert rows[0] == (1, 280)
     assert rows[-1] == (32, 286_720)
     peaks = [p for _, p in rows]
@@ -266,8 +265,6 @@ def test_invalid_tile_sizes(weights):
         run_detailnet_fused(x, weights, 0)
     with pytest.raises(ValueError, match="tile size"):
         run_detailnet_fused(x, weights, 9)
-    with pytest.raises(ValueError, match="tile size"):
-        sweep_tile_sizes((8, 8), [12])
 
 
 def test_rejects_wrong_channel_count(weights):
@@ -299,29 +296,17 @@ def test_fused_forward_matches_reference_forward(weights):
     u = rng.uniform(-1, 1, size=(32, 40, 3)).astype(np.float32)
     o = rng.uniform(-1, 1, size=(32, 40, 3)).astype(np.float32)
     reference = model.forward(graph, weights, u, o)
-    fused, traffic = fusion.fused_forward(graph, weights, u, o, 8)
+    fused, traffic = fusion.fused_forward(weights, u, o, 8)
     assert fused.tobytes() == reference.tobytes()
     assert traffic.mode == "fused"
 
 
-def test_fused_forward_rejects_single_branch_graph(weights):
-    from lightfuse.model import build_tcnn
-
-    graph = build_tcnn()
-    u = np.zeros((8, 8, 3), dtype=np.float32)
-    with pytest.raises(ValueError, match="dual-branch"):
-        fusion.fused_forward(graph, weights, u, u, 4)
-
-
-def test_fused_forward_rejects_graph_the_halo_rule_does_not_hold_for(weights):
-    graph = build_lightfuse()
-    wide_g1 = dataclasses.replace(graph.branches[0][1][0], k=5)
-    graph = dataclasses.replace(
-        graph, branches=(("global", (wide_g1,) + graph.branches[0][1][1:]), graph.branches[1])
-    )
-    u = np.zeros((8, 8, 3), dtype=np.float32)
-    with pytest.raises(ValueError, match="dual-branch"):
-        fusion.fused_forward(graph, weights, u, u, 4)
+def test_fuse_graph_meets_the_halo_rule():
+    """The stripe halo of 8 input rows holds for three stride-2 3x3 encoder layers."""
+    assert fusion._GRAPH == build_lightfuse()
+    assert fusion._GRAPH.spatial_divisor == 8
+    encoder = [(layer.name, layer.k, layer.stride) for layer in fusion._GLOBAL if layer.kind != "relu"][:3]
+    assert encoder == [("g1", 3, 2), ("g2", 3, 2), ("g3", 3, 2)]
 
 
 # ------------------------------------------------------------------ stripes
@@ -364,10 +349,10 @@ def test_striped_fuse_equals_whole_image_forward(case):
     runs = {}
     for n in sorted({1, n_threads}):
         with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget), threads(n):
-            fused, traffic = fusion.fuse_images(graph, weights, under, over, s)
-            forward_out, forward_traffic = fusion.fused_forward(graph, weights, u, o, s)
+            fused, traffic = fusion.fuse_images(weights, under, over, s)
+            forward_out, forward_traffic = fusion.fused_forward(weights, u, o, s)
         runs[n] = (fused.tobytes(), traffic, forward_out.tobytes(), forward_traffic)
-    stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s, 8))
+    stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s))
     assert runs[n_threads] == runs[1]
     assert fused.tobytes() == reference.tobytes()
     assert traffic == forward_traffic == whole_traffic
@@ -377,17 +362,16 @@ def test_striped_fuse_equals_whole_image_forward(case):
 
 def test_fuse_images_clamps_tile_to_the_padded_image(weights):
     under = np.zeros((5, 12, 3), dtype=np.uint8)
-    _, traffic = fusion.fuse_images(build_lightfuse(), weights, under, under, 32)
+    _, traffic = fusion.fuse_images(weights, under, under, 32)
     assert traffic.peak_onchip_bytes == 8 * 8 * 280
 
 
 def test_fuse_images_rejects_mismatched_or_non_uint8_pairs(weights):
-    graph = build_lightfuse()
     a = np.zeros((8, 8, 3), dtype=np.uint8)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        fusion.fuse_images(graph, weights, a, np.zeros((8, 16, 3), dtype=np.uint8), 4)
+        fusion.fuse_images(weights, a, np.zeros((8, 16, 3), dtype=np.uint8), 4)
     with pytest.raises(ValueError, match="over must be a uint8"):
-        fusion.fuse_images(graph, weights, a, a.astype(np.float32), 4)
+        fusion.fuse_images(weights, a, a.astype(np.float32), 4)
 
 
 def _fuse_peak(weights, h, w):
@@ -396,7 +380,7 @@ def _fuse_peak(weights, h, w):
     over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     tracemalloc.start()
     try:
-        fusion.fuse_images(build_lightfuse(), weights, under, over, 32)
+        fusion.fuse_images(weights, under, over, 32)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -426,9 +410,9 @@ def test_fuse_threads_default_to_the_usable_cpus(monkeypatch):
 
 def test_one_thread_starts_no_thread(weights):
     under = np.random.default_rng(30).integers(0, 256, size=(40, 48, 3), dtype=np.uint8)
-    expected, _ = fusion.fuse_images(build_lightfuse(), weights, under, under[::-1], 8)
+    expected, _ = fusion.fuse_images(weights, under, under[::-1], 8)
     with threads(1), mock.patch.object(fusion.threading, "Thread", side_effect=AssertionError):
-        fused, _ = fusion.fuse_images(build_lightfuse(), weights, under, under[::-1], 8)
+        fused, _ = fusion.fuse_images(weights, under, under[::-1], 8)
     assert fused.tobytes() == expected.tobytes()
 
 
@@ -464,15 +448,14 @@ def on_worker(n, boom=None):
 
 def entry_points(weights):
     """The three ways into the tiled executor, on a 64x64 pair at tile 8 (8 groups)."""
-    graph = build_lightfuse()
     rng = np.random.default_rng(31)
     under8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
     over8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
     under, over = tensor_core.normalize(under8), tensor_core.normalize(over8)
     return {
         "run_detailnet_fused": lambda: run_detailnet_fused(np.concatenate((under, over), axis=2), weights, 8),
-        "fused_forward": lambda: fusion.fused_forward(graph, weights, under, over, 8),
-        "fuse_images": lambda: fusion.fuse_images(graph, weights, under8, over8, 8),
+        "fused_forward": lambda: fusion.fused_forward(weights, under, over, 8),
+        "fuse_images": lambda: fusion.fuse_images(weights, under8, over8, 8),
     }
 
 

@@ -53,15 +53,6 @@ def test_tcnn_per_layer_param_sizes():
     assert per_layer == {"t1": 278, "t2": 1344, "t3": 387}
 
 
-def test_encoder_relu_flag_changes_layers_not_params():
-    with_relu = build_lightfuse(encoder_relu=True)
-    without = build_lightfuse(encoder_relu=False)
-    assert count_params(with_relu) == count_params(without) == 1574
-    names = lambda g: [l.name for _, layers in g.branches for l in layers]
-    assert "g1_relu" in names(with_relu)
-    assert "g1_relu" not in names(without)
-
-
 # ------------------------------------------------------------------- init
 
 def test_init_weights_deterministic():
@@ -305,7 +296,7 @@ def test_load_rejects_non_finite_tensor_naming_it(bad):
 def _forward_via_fusion(g, w, u, o):
     from lightfuse import fusion
 
-    return fusion.fused_forward(g, w, u, o, 4)
+    return fusion.fused_forward(w, u, o, 4)
 
 
 def _loss_and_grads(g, w, u, o):

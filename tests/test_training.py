@@ -216,8 +216,7 @@ def test_end_to_end_gradients_smoke():
 # ------------------------------------------------------------ forward walk
 
 WALK_GRAPHS = {
-    "lightfuse": build_lightfuse(True),
-    "lightfuse_no_encoder_relu": build_lightfuse(False),
+    "lightfuse": build_lightfuse(),
     "tcnn": build_tcnn(),
 }
 
