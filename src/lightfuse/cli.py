@@ -159,6 +159,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _read_scene_image(path):
+    """The decoded image, or None after a warning naming the path."""
+    try:
+        return tensor_core.decode_ppm(path.read_bytes())
+    except tensor_core.PpmParseError as exc:
+        reason = f"not a valid PPM ({exc})"
+    except OSError as exc:
+        reason = f"not readable ({exc.strerror or exc})"
+    print(f"warning: {path}: {reason}, skipped", file=sys.stderr)
+    return None
+
+
 def _load_training_triples(data_dir):
     root = Path(data_dir)
     if not root.is_dir():
@@ -172,21 +184,13 @@ def _load_training_triples(data_dir):
         if not label_path.exists():
             print(f"warning: {scene}: no label.ppm, skipped", file=sys.stderr)
             continue
-        exposures = []
-        for f in sorted(scene.glob("*.ppm")):
-            if f.name == "label.ppm":
-                continue
-            try:
-                exposures.append(tensor_core.decode_ppm(f.read_bytes()))
-            except tensor_core.PpmParseError as exc:
-                print(f"warning: {f}: not a valid PPM ({exc}), skipped", file=sys.stderr)
+        images = [_read_scene_image(f) for f in sorted(scene.glob("*.ppm")) if f.name != "label.ppm"]
+        exposures = [img for img in images if img is not None]
         if len(exposures) < 2:
             print(f"warning: {scene}: fewer than two exposures, skipped", file=sys.stderr)
             continue
-        try:
-            label_img = tensor_core.decode_ppm(label_path.read_bytes())
-        except tensor_core.PpmParseError as exc:
-            print(f"warning: {label_path}: not a valid PPM ({exc}), skipped", file=sys.stderr)
+        label_img = _read_scene_image(label_path)
+        if label_img is None:
             continue
         if any(img.shape != label_img.shape for img in exposures):
             print(f"warning: {scene}: image dimensions differ, skipped", file=sys.stderr)

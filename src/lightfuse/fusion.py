@@ -65,7 +65,6 @@ from . import model, nn_ops, tensor_core
 
 __all__ = [
     "TrafficReport",
-    "tile_grid",
     "run_detailnet_fused",
     "run_detailnet_unfused",
     "fused_forward",
@@ -120,15 +119,6 @@ class TrafficReport:
             f"mode={self.mode} reads={self.offchip_read_bytes}"
             f" writes={self.offchip_write_bytes} peak={self.peak_onchip_bytes}"
         )
-
-
-def tile_grid(height: int, width: int, s: int):
-    """Disjoint row-major tiles covering the full extent."""
-    return [
-        (r0, min(r0 + s, height), c0, min(c0 + s, width))
-        for r0 in range(0, height, s)
-        for c0 in range(0, width, s)
-    ]
 
 
 def _tile_side(tile, h: int, w: int) -> int:

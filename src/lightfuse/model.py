@@ -36,10 +36,6 @@ __all__ = [
 
 LAYER_KINDS = ("depthwise", "pointwise", "separable", "upsample_nn", "relu", "tanh")
 
-# Detail-branch layer names and channel widths, input width first.
-DETAIL_LAYER_NAMES = ("d1", "d2", "d3")
-DETAIL_CHANNELS = (6, 32, 32, 3)
-
 
 class WeightFormatError(ValueError):
     """Raised for malformed weight files or stores inconsistent with a graph."""
@@ -94,12 +90,14 @@ def build_lightfuse() -> ModelGraph:
         LayerSpec("up2", "upsample_nn", in_channels=3, out_channels=3),
         LayerSpec("up3", "upsample_nn", in_channels=3, out_channels=3),
     ]
-
-    d = []
-    for name, m, n in zip(DETAIL_LAYER_NAMES, DETAIL_CHANNELS[:-1], DETAIL_CHANNELS[1:]):
-        d.append(LayerSpec(name, "pointwise", in_channels=m, out_channels=n))
-        d.append(_relu_after(name, n))
-
+    d = [
+        LayerSpec("d1", "pointwise", in_channels=6, out_channels=32),
+        _relu_after("d1", 32),
+        LayerSpec("d2", "pointwise", in_channels=32, out_channels=32),
+        _relu_after("d2", 32),
+        LayerSpec("d3", "pointwise", in_channels=32, out_channels=3),
+        _relu_after("d3", 3),
+    ]
     return ModelGraph(
         name="lightfuse",
         branches=(("global", tuple(g)), ("detail", tuple(d))),
@@ -183,7 +181,7 @@ def _param_of_shape(weights: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def layer_kernels(layer: LayerSpec, weights: dict):
-    """The nn_ops ops a layer runs, in order, for nn_ops.op_forward.
+    """The nn_ops ops a layer runs, in order, for nn_ops.run_ops.
 
     A parameterized layer's kernels read their tensors from the store in
     param_entries order, each of its graph shape; a separable layer is a
@@ -214,26 +212,26 @@ def spatial_factor(layer: LayerSpec) -> Fraction:
     return Fraction(1)
 
 
-def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray) -> np.ndarray:
-    for op in layer_kernels(layer, weights):
-        x = nn_ops.op_forward(op, x)
-    return x
+def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray, tape=None) -> np.ndarray:
+    """The layer's ops through nn_ops.run_ops; a given tape gets (layer, ops, inputs)."""
+    ops, inputs = layer_kernels(layer, weights), []
+    y = nn_ops.run_ops(ops, x, inputs)
+    if tape is not None:
+        tape.append((layer, ops, inputs))
+    return y
 
 
-def run_branch(layers, weights: dict, x: np.ndarray, record=None) -> np.ndarray:
+def run_branch(layers, weights: dict, x: np.ndarray, tape=None) -> np.ndarray:
     """Run layers in order, asserting each output size against spatial_factor.
 
-    With record given, record(layer, input, output) is called after each
-    layer's size check.
+    With tape given, every layer appends its run_layer entry to it, in order.
     """
     for layer in layers:
-        y = run_layer(layer, weights, x)
+        y = run_layer(layer, weights, x, tape)
         f = spatial_factor(layer)
         eh, ew = x.shape[0] * f, x.shape[1] * f
         if y.shape[:2] != (eh, ew):
             raise RuntimeError(f"layer '{layer.name}': expected {eh}x{ew} output, got {y.shape[:2]}")
-        if record is not None:
-            record(layer, x, y)
         x = y
     return x
 

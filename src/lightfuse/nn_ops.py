@@ -6,9 +6,9 @@ pinned - bias first, then ascending input channel / kernel position - so
 alternative schedules can be compared bit for bit.
 
 This module is the one owner of which forward goes with which backward:
-op_forward and op_backward take a primitive - a DepthwiseKernel, a
-PointwiseKernel, or one of "relu", "tanh", "upsample_nn" - and are what
-model.run_layer, training's backward walk and grad_check call.
+op_forward and op_backward pair them for one primitive - a DepthwiseKernel,
+a PointwiseKernel, or one of "relu", "tanh", "upsample_nn" - and run_ops and
+backward_ops walk an op tuple forward, keeping each op's input, and back.
 
 The 1x1 kernel works channels-first: pixels are transposed in blocks of
 CHUNK_PIXELS into (channels, pixels) buffers, so every step of the pinned
@@ -249,9 +249,9 @@ def tanh_backward(x, grad):
 def op_forward(op, x: np.ndarray) -> np.ndarray:
     """Forward of one primitive: a kernel, or "relu", "tanh", "upsample_nn".
 
-    Left out of __all__ like pointwise_channels_first. The kernels are
-    called through this module's globals, so per-function traces still see
-    each of them.
+    Left out of __all__ like pointwise_channels_first, as are the two walks
+    over it. The kernels are called through this module's globals, so
+    per-function traces still see each of them.
     """
     if isinstance(op, DepthwiseKernel):
         return depthwise_forward(x, op)
@@ -285,6 +285,23 @@ def op_backward(op, x: np.ndarray, grad: np.ndarray) -> tuple:
     if op == "upsample_nn":
         return upsample_backward(grad), ()
     raise ValueError(f"unknown op {op!r}")
+
+
+def run_ops(ops, x: np.ndarray, inputs: list) -> np.ndarray:
+    """op_forward over ops in order, appending each op's input to `inputs`."""
+    for op in ops:
+        inputs.append(x)
+        x = op_forward(op, x)
+    return x
+
+
+def backward_ops(ops, inputs, grad: np.ndarray) -> tuple:
+    """Backward of run_ops(ops, x, inputs): (dx, parameter gradients in op order)."""
+    pgrads = []
+    for op, x in zip(reversed(ops), reversed(inputs)):
+        grad, op_grads = op_backward(op, x, grad)
+        pgrads[:0] = op_grads
+    return grad, tuple(pgrads)
 
 
 def _op_closure(op):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, nn_ops
-from .nn_ops import DepthwiseKernel, PointwiseKernel
 
 __all__ = [
     "LossReport",
@@ -58,17 +57,38 @@ def loss_total(out: np.ndarray, label: np.ndarray, extractor) -> LossReport:
     return LossReport(m, p, m + p)
 
 
-class IdentityExtractor:
-    """Single-stage extractor f(x) = x; reduces the perceptual term to L1."""
+class _StageExtractor:
+    """Feature maps after each of `stages`, nn_ops op tuples run one after another."""
+
+    def _walk(self, x):
+        feats, tapes = [], []
+        for ops in self.stages:
+            tapes.append([])
+            x = nn_ops.run_ops(ops, x, tapes[-1])
+            feats.append(x)
+        return feats, tapes
 
     def features(self, x):
-        return [x]
+        return self._walk(x)[0]
 
     def loss_grad(self, out, label):
-        return np.sign(out - label).astype(out.dtype)
+        """Gradient of loss_perceptual with respect to out."""
+        feats, tapes = self._walk(out)
+        stages = list(zip(self.stages, tapes, feats, self.features(label)))
+        grad = None
+        for ops, inputs, fo, fl in reversed(stages):  # own sign term + the gradient from above
+            sign = np.sign(fo - fl).astype(out.dtype)
+            grad, _ = nn_ops.backward_ops(ops, inputs, sign if grad is None else sign + grad)
+        return grad
 
 
-class RandomConvExtractor:
+class IdentityExtractor(_StageExtractor):
+    """Single-stage extractor f(x) = x; reduces the perceptual term to L1."""
+
+    stages = ((),)
+
+
+class RandomConvExtractor(_StageExtractor):
     """Fixed-seed two-stage conv extractor standing in for a pretrained net.
 
     Stage 1 is a 3x3 depthwise conv, stage 2 a 1x1 conv from 3 to 8 channels,
@@ -79,30 +99,10 @@ class RandomConvExtractor:
         rng = np.random.default_rng(seed)
         dw = rng.uniform(-math.sqrt(6.0 / 9.0), math.sqrt(6.0 / 9.0), size=(3, 3, 3))
         pw = rng.uniform(-math.sqrt(6.0 / 3.0), math.sqrt(6.0 / 3.0), size=(3, 8))
-        self._dw = DepthwiseKernel(dw.astype(np.float32), None, 1)
-        self._pw = PointwiseKernel(pw.astype(np.float32), np.zeros(8, dtype=np.float32))
-
-    def features(self, x):
-        f1 = nn_ops.relu(nn_ops.depthwise_forward(x, self._dw))
-        f2 = nn_ops.relu(nn_ops.pointwise_forward(f1, self._pw))
-        return [f1, f2]
-
-    def loss_grad(self, out, label):
-        a1o = nn_ops.depthwise_forward(out, self._dw)
-        f1o = nn_ops.relu(a1o)
-        a2o = nn_ops.pointwise_forward(f1o, self._pw)
-        f2o = nn_ops.relu(a2o)
-        a1l = nn_ops.depthwise_forward(label, self._dw)
-        f1l = nn_ops.relu(a1l)
-        f2l = nn_ops.relu(nn_ops.pointwise_forward(f1l, self._pw))
-
-        g2 = np.sign(f2o - f2l).astype(out.dtype)
-        ga2 = nn_ops.relu_backward(a2o, g2)
-        gf1, _, _ = nn_ops.pointwise_backward(f1o, self._pw, ga2)
-        g1 = np.sign(f1o - f1l).astype(out.dtype) + gf1
-        ga1 = nn_ops.relu_backward(a1o, g1)
-        dx, _, _ = nn_ops.depthwise_backward(out, self._dw, ga1)
-        return dx
+        self.stages = (
+            (nn_ops.DepthwiseKernel(dw.astype(np.float32), None, 1), "relu"),
+            (nn_ops.PointwiseKernel(pw.astype(np.float32), np.zeros(8, dtype=np.float32)), "relu"),
+        )
 
 
 class Adam:
@@ -136,35 +136,24 @@ class Adam:
 
 
 def _forward_cached(graph, weights, x):
-    """Forward pass recording (layer, input, output) per layer for the backward walk."""
-    branch_outs = []
-    branch_recs = []
-    for _, layers in graph.branches:
-        recs = []
-        branch_outs.append(model.run_branch(layers, weights, x, lambda *rec: recs.append(rec)))
-        branch_recs.append(recs)
-    pre, out = model.merge_branches(graph, branch_outs)
-    return out, pre, branch_recs
+    """Forward pass keeping one run_branch tape per branch for the backward walk."""
+    tapes = [[] for _ in graph.branches]
+    outs = [model.run_branch(layers, weights, x, tape) for (_, layers), tape in zip(graph.branches, tapes)]
+    pre, out = model.merge_branches(graph, outs)
+    return out, pre, tapes
 
 
-def _backward(graph, weights, branch_recs, merge_pre, out_grad):
+def _backward(graph, tapes, merge_pre, out_grad):
     """Exact gradients of every parameter for the cached forward pass."""
     grads = {}
     if graph.merge_add_tanh:
-        g_merge = nn_ops.tanh_backward(merge_pre, out_grad)
+        g_merge, _ = nn_ops.backward_ops(("tanh",), (merge_pre,), out_grad)
         branch_grads = [g_merge, g_merge]
     else:
         branch_grads = [out_grad]
-    for recs, g in zip(branch_recs, branch_grads):
-        for layer, x_in, _ in reversed(recs):
-            ops = model.layer_kernels(layer, weights)
-            inputs = [x_in]
-            for op in ops[:-1]:  # rebuilds a separable layer's midpoint
-                inputs.append(nn_ops.op_forward(op, inputs[-1]))
-            pgrads = []  # in param_entries order: the last op's come last
-            for op, x_op in zip(reversed(ops), reversed(inputs)):
-                g, op_grads = nn_ops.op_backward(op, x_op, g)
-                pgrads[:0] = op_grads
+    for tape, g in zip(tapes, branch_grads):
+        for layer, ops, inputs in reversed(tape):
+            g, pgrads = nn_ops.backward_ops(ops, inputs, g)  # in param_entries order
             grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))
     return grads
 
@@ -175,7 +164,7 @@ def loss_and_grads(graph, weights, under, over, label, extractor=None):
     if label.shape != under.shape:
         raise ValueError(f"label shape {label.shape} does not match inputs {under.shape}")
     x = np.concatenate((under, over), axis=2)
-    out, pre, recs = _forward_cached(graph, weights, x)
+    out, pre, tapes = _forward_cached(graph, weights, x)
     l_mse = loss_mse(out, label)
     dout = ((out - label) * (2.0 / out.size)).astype(np.float32, copy=False)
     if extractor is not None:
@@ -183,7 +172,7 @@ def loss_and_grads(graph, weights, under, over, label, extractor=None):
         dout = dout + extractor.loss_grad(out, label)
     else:
         l_perc = 0.0
-    grads = _backward(graph, weights, recs, pre, dout)
+    grads = _backward(graph, tapes, pre, dout)
     return out, LossReport(l_mse, l_perc, l_mse + l_perc), grads
 
 

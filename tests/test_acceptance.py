@@ -151,11 +151,11 @@ def test_criterion_06_gradient_correctness(capsys):
     lab64 = label.astype(np.float64)
 
     def loss_and_relu_masks():
-        out, _, recs = training._forward_cached(graph, w64, x64)
+        out, _, tapes = training._forward_cached(graph, w64, x64)
         masks = b"".join(
-            (x_in > 0).tobytes()
-            for branch in recs
-            for layer, x_in, _ in branch
+            (inputs[0] > 0).tobytes()
+            for tape in tapes
+            for layer, _, inputs in tape
             if layer.kind == "relu"
         )
         diff = out - lab64

@@ -259,17 +259,42 @@ def test_train_scene_without_label_is_skipped(tmp_path, capsys):
     assert "label.ppm" in capsys.readouterr().err
 
 
-def test_train_scene_with_malformed_label_is_skipped(tmp_path, capsys):
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize(
+    "fault, reason",
+    [(truncate, "not a valid PPM ("), (replace_with_directory, "not readable (Is a directory)")],
+    ids=["truncated", "directory"],
+)
+def test_train_scene_with_malformed_label_is_skipped(fault, reason, tmp_path, capsys):
     make_scene(tmp_path / "data" / "scene1", seed=21)
     make_scene(tmp_path / "data" / "scene2", seed=22)
     bad = tmp_path / "data" / "scene1" / "label.ppm"
-    bad.write_bytes(bad.read_bytes()[:-10])
+    fault(bad)
     code = cli.main(["train", str(tmp_path / "data"), str(tmp_path / "w.lfw"), "--steps", "1"])
     out, err = capsys.readouterr()
     assert code == 0
     assert " triples=1 " in out
-    assert f"warning: {bad}: not a valid PPM (" in err
+    assert f"warning: {bad}: {reason}" in err
     assert err.rstrip().endswith("), skipped")
+
+
+def test_train_skips_a_directory_named_exposure(tmp_path, capsys):
+    make_scene(tmp_path / "data" / "scene1", seed=23)
+    bad = tmp_path / "data" / "scene1" / "c.ppm"
+    replace_with_directory(bad)
+    code = cli.main(["train", str(tmp_path / "data"), str(tmp_path / "w.lfw"), "--steps", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert " triples=1 " in out
+    assert err == f"warning: {bad}: not readable (Is a directory), skipped\n"
 
 
 def test_train_missing_directory(tmp_path):

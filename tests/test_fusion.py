@@ -12,13 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightfuse import fusion, model, nn_ops, tensor_core
-from lightfuse.fusion import (
-    TrafficReport,
-    run_detailnet_fused,
-    run_detailnet_unfused,
-    tile_grid,
-)
+from lightfuse.fusion import TrafficReport, run_detailnet_fused, run_detailnet_unfused
 from lightfuse.model import build_lightfuse, init_weights
+
+DETAIL_CONVS = [layer.name for layer in dict(build_lightfuse().branches)["detail"] if layer.kind == "pointwise"]
+
+
+def tile_grid(height, width, s):
+    """The schedule oracle: disjoint row-major s x s tiles covering the full extent."""
+    return [
+        (r0, min(r0 + s, height), c0, min(c0 + s, width))
+        for r0 in range(0, height, s)
+        for c0 in range(0, width, s)
+    ]
 
 
 def detail_input(h, w, seed):
@@ -44,7 +50,7 @@ def test_fused_matches_unfused_bitwise(weights):
 def test_fused_matches_manual_layer_composition(weights):
     x = detail_input(16, 16, seed=9)
     y = x
-    for name in model.DETAIL_LAYER_NAMES:
+    for name in DETAIL_CONVS:
         kern = nn_ops.PointwiseKernel(weights[f"{name}.weight"], weights[f"{name}.bias"])
         y = nn_ops.relu(nn_ops.pointwise_forward(y, kern))
     fused, _ = run_detailnet_fused(x, weights, 7)
@@ -56,7 +62,7 @@ def test_tile_order_does_not_matter(weights):
     reference, _ = run_detailnet_fused(x, weights, 5)
     kernels = [
         nn_ops.PointwiseKernel(weights[f"{n}.weight"], weights[f"{n}.bias"])
-        for n in model.DETAIL_LAYER_NAMES
+        for n in DETAIL_CONVS
     ]
     out = np.empty((16, 24, 3), dtype=np.float32)
     for r0, r1, c0, c1 in reversed(tile_grid(16, 24, 5)):
@@ -92,8 +98,8 @@ def forward_with_detail_output(graph, weights, under, over):
     seen = {}
     run_layer = model.run_layer
 
-    def recording(layer, store, x):
-        seen[layer.name] = y = run_layer(layer, store, x)
+    def recording(layer, store, x, tape=None):
+        seen[layer.name] = y = run_layer(layer, store, x, tape)
         return y
 
     with mock.patch.object(model, "run_layer", recording):

@@ -1,11 +1,13 @@
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightfuse import model, training
+from lightfuse import model, nn_ops, training
 from lightfuse.model import build_lightfuse, build_tcnn, forward, init_weights
 from lightfuse.training import (
     Adam,
@@ -133,6 +135,58 @@ def test_random_extractor_two_stages():
     assert feats[1].shape == (8, 8, 8)
 
 
+def hand_chained_random_conv(seed, out, label):
+    """RandomConvExtractor(seed)'s features of out and loss_grad, chained kernel by kernel.
+
+    The byte oracle for the extractors' shared walk: the kernels are drawn
+    from the seed as the extractor draws them, and the stage-1 sign term is
+    added to the gradient coming back from stage 2.
+    """
+    rng = np.random.default_rng(seed)
+    dw = rng.uniform(-math.sqrt(6.0 / 9.0), math.sqrt(6.0 / 9.0), size=(3, 3, 3))
+    pw = rng.uniform(-math.sqrt(6.0 / 3.0), math.sqrt(6.0 / 3.0), size=(3, 8))
+    dw = nn_ops.DepthwiseKernel(dw.astype(np.float32), None, 1)
+    pw = nn_ops.PointwiseKernel(pw.astype(np.float32), np.zeros(8, dtype=np.float32))
+    a1o = nn_ops.depthwise_forward(out, dw)
+    f1o = nn_ops.relu(a1o)
+    a2o = nn_ops.pointwise_forward(f1o, pw)
+    f2o = nn_ops.relu(a2o)
+    f1l = nn_ops.relu(nn_ops.depthwise_forward(label, dw))
+    f2l = nn_ops.relu(nn_ops.pointwise_forward(f1l, pw))
+
+    g2 = np.sign(f2o - f2l).astype(out.dtype)
+    gf1, _, _ = nn_ops.pointwise_backward(f1o, pw, nn_ops.relu_backward(a2o, g2))
+    g1 = np.sign(f1o - f1l).astype(out.dtype) + gf1
+    dx, _, _ = nn_ops.depthwise_backward(out, dw, nn_ops.relu_backward(a1o, g1))
+    return [f1o, f2o], dx
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=2000)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    extractor_seed=st.integers(0, 2**16),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_extractors_equal_the_hand_chained_reference(rows, cols, seed, extractor_seed, dtype):
+    rng = np.random.default_rng(seed)
+    out, label = (rng.uniform(-1, 1, (rows, cols, 3)).astype(dtype) for _ in range(2))
+    extractor = RandomConvExtractor(seed=extractor_seed)
+    features, grad = hand_chained_random_conv(extractor_seed, out, label)
+    got = extractor.features(out)
+    assert len(got) == 2 and all(same_bytes(a, b) for a, b in zip(got, features))
+    assert same_bytes(extractor.loss_grad(out, label), grad)
+
+    identity = IdentityExtractor()
+    assert len(identity.features(out)) == 1 and same_bytes(identity.features(out)[0], out)
+    assert same_bytes(identity.loss_grad(out, label), np.sign(out - label).astype(dtype))
+
+
 def test_perceptual_gradient_matches_finite_differences():
     # L1 is non-differentiable at zero, so keep |out - label| well clear of it;
     # the numeric side runs in float64 with a small step so the extractor's
@@ -179,11 +233,11 @@ def test_end_to_end_gradients_smoke():
         x64 = np.concatenate([u64, o64], axis=2)
 
         def loss_and_relu_masks():
-            out, _, recs = training._forward_cached(graph, w64, x64)
+            out, _, tapes = training._forward_cached(graph, w64, x64)
             masks = b"".join(
-                (x_in > 0).tobytes()
-                for branch in recs
-                for layer, x_in, _ in branch
+                (inputs[0] > 0).tobytes()
+                for tape in tapes
+                for layer, _, inputs in tape
                 if layer.kind == "relu"
             )
             d = out - lab64
@@ -211,6 +265,32 @@ def test_end_to_end_gradients_smoke():
             if checked >= 15:
                 break
         assert checked >= 15
+
+
+@pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)
+def test_backward_runs_no_forward_op(graph):
+    """The backward walk reads every op input from the forward tape."""
+    weights = init_weights(graph, 0)
+    u, o, label = (rand((16, 16, 3), seed) for seed in (1, 2, 3))
+    op_forward, backward = nn_ops.op_forward, training._backward
+    inside, calls = [], {"forward": 0, "backward": 0}
+
+    def counting_op_forward(op, x):
+        calls["backward" if inside else "forward"] += 1
+        return op_forward(op, x)
+
+    def marked_backward(*args):
+        inside.append(True)
+        try:
+            return backward(*args)
+        finally:
+            inside.pop()
+
+    with mock.patch.object(nn_ops, "op_forward", counting_op_forward), \
+            mock.patch.object(training, "_backward", marked_backward):
+        loss_and_grads(graph, weights, u, o, label)
+    assert calls["forward"] > 0
+    assert calls["backward"] == 0
 
 
 # ------------------------------------------------------------ forward walk
@@ -244,14 +324,17 @@ def test_training_forward_is_run_branch(name, rows, cols, seed):
 
     x = np.concatenate((u, o), axis=2)
     for _, layers in graph.branches:
-        seen = []
-        y = model.run_branch(layers, weights, x, lambda *rec: seen.append(rec))
-        assert [layer for layer, _, _ in seen] == list(layers)
-        for layer, x_in, y_out in seen:
+        tape = []
+        y = model.run_branch(layers, weights, x, tape)
+        assert [layer for layer, _, _ in tape] == list(layers)
+        layer_ins = [inputs[0] for _, _, inputs in tape]
+        assert layer_ins[0] is x
+        for (layer, ops, inputs), x_in, y_out in zip(tape, layer_ins, layer_ins[1:] + [y]):
+            again = []
+            assert nn_ops.run_ops(ops, x_in, again).tobytes() == y_out.tobytes()
+            assert [a.tobytes() for a in again] == [a.tobytes() for a in inputs]
             area_in, area_out = x_in.shape[0] * x_in.shape[1], y_out.shape[0] * y_out.shape[1]
             assert area_out == area_in * model.spatial_factor(layer) ** 2
-        assert seen[0][1] is x and seen[-1][2] is y
-        assert all(a[2] is b[1] for a, b in zip(seen, seen[1:]))
         assert y.tobytes() == model.run_branch(layers, weights, x).tobytes()
 
 
