@@ -32,7 +32,7 @@ from .nn_ops import (
     tanh,
     upsample_nn,
 )
-from .tensor_core import PpmParseError, decode_ppm, denormalize, encode_ppm, normalize
+from .tensor_core import PpmParseError, PpmReader, PpmWriter, decode_ppm, denormalize, encode_ppm, normalize
 from .training import Adam, IdentityExtractor, LossReport, RandomConvExtractor, loss_mse, loss_perceptual, loss_total, train_toy
 
 __version__ = "0.1.0"

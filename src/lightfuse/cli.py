@@ -101,24 +101,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_file(path, parse):
-    """parse(bytes of the file); a PPM or LFW1 format error names the file."""
+    """parse(path); a PPM or LFW1 format error names the file."""
     try:
-        return parse(Path(path).read_bytes())
+        return parse(path)
     except (tensor_core.PpmParseError, model.WeightFormatError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_image(path) -> np.ndarray:
-    return _parse_file(path, tensor_core.decode_ppm)
-
-
 def cmd_fuse(args) -> int:
-    under = _read_image(args.under)
-    over = _read_image(args.over)
-    graph = model.build_lightfuse()
-    weights = _parse_file(args.weights, lambda data: model.load_weights(data, graph))
-    fused, traffic = fusion.fuse_images(weights, under, over, args.tile_size)
-    Path(args.out).write_bytes(tensor_core.encode_ppm(fused))
+    with _parse_file(args.under, tensor_core.PpmReader) as under, \
+            _parse_file(args.over, tensor_core.PpmReader) as over:
+        graph = model.build_lightfuse()
+        weights = _parse_file(args.weights, lambda path: model.load_weights(Path(path).read_bytes(), graph))
+        with tensor_core.PpmWriter(args.out, under.shape) as out:
+            _, traffic = fusion.fuse_images(weights, under, over, args.tile_size, out=out)
     print(traffic.dump())
     return EXIT_OK
 
@@ -244,9 +240,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    a = _read_image(args.a)
-    b = _read_image(args.b)
-    print(metrics.format_scores(metrics.psnr(a, b), metrics.ssim(a, b)))
+    with _parse_file(args.a, tensor_core.PpmReader) as a, _parse_file(args.b, tensor_core.PpmReader) as b:
+        print(metrics.format_scores(metrics.psnr(a, b), metrics.ssim(a, b)))
     return EXIT_OK
 
 

@@ -300,24 +300,32 @@ def fused_forward(weights: dict, under, over, tile) -> tuple:
     return out, traffic
 
 
-def fuse_images(weights: dict, under: np.ndarray, over: np.ndarray, tile) -> tuple:
-    """Fuse an 8-bit exposure pair of any size; returns (uint8 image, TrafficReport).
+def fuse_images(weights: dict, under, over, tile, out=None) -> tuple:
+    """Fuse an 8-bit exposure pair of any size; returns (out, TrafficReport).
 
     Equal byte for byte to denormalize(model.forward(...)) on the pair
     normalized and edge-padded to a multiple of 8, cropped back. A tile side
-    larger than the padded image is clamped to it. Each stripe normalizes and
-    pads only the input rows it reads and writes its rows of the uint8
-    output, so the only full-size array is that output.
+    larger than the padded image is clamped to it. under and over are uint8
+    (H, W, 3) arrays or tensor_core.PpmReaders. Each stripe normalizes and
+    pads only the input rows it reads, under[a:b] and over[a:b], and sets
+    its rows of out in row order, out[r0:r1] = rows. out is a new uint8
+    array by default, or a row sink such as tensor_core.PpmWriter; with
+    readers and a writer no full-size array exists.
     """
     for name, img in (("under", under), ("over", over)):
-        if not isinstance(img, np.ndarray) or img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
+        if not isinstance(img, (np.ndarray, tensor_core.PpmReader)) or (
+            img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3
+        ):
             raise ValueError(f"{name} must be a uint8 (H, W, 3) image")
     if under.shape != over.shape:
         raise ValueError(f"dimension mismatch: {under.shape[:2]} vs {over.shape[:2]}")
     h, w = under.shape[:2]
+    if out is None:
+        out = np.empty((h, w, 3), dtype=np.uint8)
+    elif out.shape != under.shape or out.dtype != np.uint8:
+        raise ValueError(f"out must be a uint8 {h}x{w}x3 image")
     div = _GRAPH.spatial_divisor
     hp, wp = h + (-h) % div, w + (-w) % div
-    fused = np.empty_like(under)
 
     def rows_in(a, b):
         x = np.empty((b - a, wp, _WIDTHS[0]), dtype=np.float32)
@@ -330,7 +338,7 @@ def fuse_images(weights: dict, under: np.ndarray, over: np.ndarray, tile) -> tup
 
     def rows_out(r0, r1, y):
         r1 = min(r1, h)
-        fused[r0:r1] = tensor_core.denormalize(y[: r1 - r0, :w])
+        out[r0:r1] = tensor_core.denormalize(y[: r1 - r0, :w])
 
     side = min(int(tile), hp, wp)
-    return fused, _run_stripes(weights, hp, wp, side, rows_in, rows_out)
+    return out, _run_stripes(weights, hp, wp, side, rows_in, rows_out)

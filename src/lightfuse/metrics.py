@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .tensor_core import PpmReader
+
 __all__ = [
     "psnr",
     "ssim",
@@ -42,19 +44,20 @@ SSIM_STRIPE_PIXELS = 8192
 
 def _check_same_images(a, b):
     for img in (a, b):
-        if not isinstance(img, np.ndarray) or img.dtype != np.uint8 or img.ndim != 3:
+        if not isinstance(img, (np.ndarray, PpmReader)) or img.dtype != np.uint8 or img.ndim != 3:
             raise ValueError("expected uint8 images of shape (H, W, 3)")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
+def psnr(a, b) -> float:
     """10*log10(255^2 / MSE) over all interleaved values; inf when identical.
 
-    Squared differences are summed as integers over stripes of rows. Each
-    is at most 255^2 and the total stays below 2^53, so every partial sum
-    of a float64 mean is exact too: MSE is the float np.mean gives on the
-    whole squared-difference image, in any summation order.
+    a and b are uint8 (H, W, 3) arrays or tensor_core.PpmReaders. Squared
+    differences are summed as integers over stripes of rows. Each is at
+    most 255^2 and the total stays below 2^53, so every partial sum of a
+    float64 mean is exact too: MSE is the float np.mean gives on the whole
+    squared-difference image, in any summation order.
     """
     _check_same_images(a, b)
     rows = max(1, SSIM_STRIPE_PIXELS // a.shape[1])
@@ -63,7 +66,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
         diff = np.subtract(a[r0 : r0 + rows], b[r0 : r0 + rows], dtype=np.int32)
         np.multiply(diff, diff, out=diff)
         total += int(diff.sum(dtype=np.int64))
-    mse = total / a.size
+    mse = total / math.prod(a.shape)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 ** 2 / mse)
@@ -95,8 +98,12 @@ def _filter_rows(maps, kernel, tmp, wide, out, narrow):
         np.add(out, narrow, out=out)
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean single-scale SSIM over valid windows, averaged across channels."""
+def ssim(a, b) -> float:
+    """Mean single-scale SSIM over valid windows, averaged across channels.
+
+    a and b are uint8 (H, W, 3) arrays or tensor_core.PpmReaders; a stripe
+    reads only its rows and halo rows.
+    """
     _check_same_images(a, b)
     if min(a.shape[0], a.shape[1]) < _SSIM_WINDOW:
         raise ValueError(f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM")
@@ -117,8 +124,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         for r0 in range(0, oh, stripe):
             rows = min(stripe, oh - r0)
             m = maps[:, : rows + halo]
-            m[0] = a[r0 : r0 + rows + halo, :, c]
-            m[1] = b[r0 : r0 + rows + halo, :, c]
+            m[0] = a[r0 : r0 + rows + halo][:, :, c]
+            m[1] = b[r0 : r0 + rows + halo][:, :, c]
             np.multiply(m[0], m[0], out=m[2])
             np.multiply(m[1], m[1], out=m[3])
             np.multiply(m[0], m[1], out=m[4])

@@ -6,10 +6,18 @@ Conventions used across the package:
   * an 8-bit image is a numpy uint8 array of shape (height, width, 3).
 """
 
+import contextlib
+import os
+import stat
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 __all__ = [
     "PpmParseError",
+    "PpmReader",
+    "PpmWriter",
     "decode_ppm",
     "encode_ppm",
     "normalize",
@@ -20,34 +28,44 @@ __all__ = [
 _WHITESPACE = b" \t\r\n"
 _COMMENT = ord("#")
 _HEADER_GAP = _WHITESPACE + b"#"
+# Bytes PpmReader reads first for the header; it reads as many again while
+# a header runs on past them (a long comment).
+_HEADER_READ = 256
 
 
 class PpmParseError(ValueError):
     """Raised when a PPM byte stream violates the binary P6 format."""
 
 
-def decode_ppm(data: bytes) -> np.ndarray:
-    """Decode a binary P6 PPM file into a uint8 (H, W, 3) image.
+def _parse_header(data: bytes, complete: bool = True) -> tuple:
+    """(width, height, payload offset) of the P6 header at the start of data.
 
-    Only maxval 255 is accepted. A '#' comment, running to the end of its
-    line, may stand wherever whitespace may before the maxval token. Error
-    messages name the offending field (magic, width, height, maxval, payload).
+    With complete=False, data is only the first bytes of a file: reaching
+    its end anywhere in the header raises _ShortHeader, so the caller reads
+    more and parses again instead of judging a cut-off token.
     """
-    if len(data) < 2 or data[:2] != b"P6":
+    n = len(data)
+
+    def more(pos):  # whether data[pos] exists
+        if pos < n or complete:
+            return pos < n
+        raise _ShortHeader
+
+    if not more(1) or data[:2] != b"P6":
         raise PpmParseError("magic: expected 'P6'")
-    if len(data) > 2 and data[2] not in _WHITESPACE:
+    if more(2) and data[2] not in _WHITESPACE:
         raise PpmParseError("magic: 'P6' must be followed by whitespace")
     pos = 2
 
     def token(field):
         nonlocal pos
-        while pos < len(data) and data[pos] in _HEADER_GAP:
+        while more(pos) and data[pos] in _HEADER_GAP:
             if data[pos] == _COMMENT:
-                while pos < len(data) and data[pos] not in b"\r\n":
+                while more(pos) and data[pos] not in b"\r\n":
                     pos += 1
             pos += 1
         start = pos
-        while pos < len(data) and data[pos] not in _HEADER_GAP:
+        while more(pos) and data[pos] not in _HEADER_GAP:
             pos += 1
         tok = data[start:pos]
         if not tok.isdigit():
@@ -66,25 +84,168 @@ def decode_ppm(data: bytes) -> np.ndarray:
         raise PpmParseError("height: must be positive")
     if maxval != 255:
         raise PpmParseError(f"maxval: expected 255, got {maxval}")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not more(pos) or data[pos] not in _WHITESPACE:
         raise PpmParseError("payload: missing whitespace after maxval")
-    pos += 1  # exactly one whitespace byte separates header and payload
+    return width, height, pos + 1  # exactly one whitespace byte ends the header
 
-    have = len(data) - pos
-    need = width * height * 3
+
+class _ShortHeader(Exception):
+    """The header runs past the bytes read so far."""
+
+
+def _check_payload(have: int, need: int) -> None:
     if have < need:
         raise PpmParseError(f"payload: truncated, expected {need} bytes, got {have}")
     if have > need:
         raise PpmParseError(f"payload: {have - need} trailing bytes after pixel data")
+
+
+def decode_ppm(data: bytes) -> np.ndarray:
+    """Decode a binary P6 PPM file into a uint8 (H, W, 3) image.
+
+    Only maxval 255 is accepted. A '#' comment, running to the end of its
+    line, may stand wherever whitespace may before the maxval token. Error
+    messages name the offending field (magic, width, height, maxval, payload).
+    """
+    width, height, pos = _parse_header(data)
+    need = width * height * 3
+    _check_payload(len(data) - pos, need)
     pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     return pixels.reshape(height, width, 3).copy()
+
+
+class PpmReader:
+    """Rows of a binary P6 PPM file, read from disk on demand.
+
+    Opening parses the header and checks the file size against it, with
+    decode_ppm's error messages, before any pixel is read. reader[a:b]
+    returns rows [a, b) as a new uint8 (b - a, W, 3) array; shape, dtype and
+    ndim are those of the decoded image. Use as a context manager, or call
+    close().
+    """
+
+    dtype = np.dtype(np.uint8)
+    ndim = 3
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        try:
+            fd = self._file.fileno()
+            status = os.fstat(fd)
+            if not stat.S_ISREG(status.st_mode):
+                raise PpmParseError("file: not a regular file")
+            data = b""
+            while True:
+                chunk = os.pread(fd, max(_HEADER_READ, len(data)), len(data))
+                data += chunk
+                try:
+                    width, height, self._offset = _parse_header(
+                        data, complete=not chunk or len(data) >= status.st_size
+                    )
+                    break
+                except _ShortHeader:
+                    continue
+            _check_payload(status.st_size - self._offset, width * height * 3)
+        except BaseException:
+            self._file.close()
+            raise
+        self.shape = (height, width, 3)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("a PpmReader is indexed by a slice of rows")
+        a, b, _ = rows.indices(self.shape[0])
+        out = np.empty((max(0, b - a),) + self.shape[1:], dtype=np.uint8)
+        row_bytes = self.shape[1] * 3
+        self._file.seek(self._offset + a * row_bytes)
+        view, got = memoryview(out.reshape(-1)), 0
+        while got < out.nbytes:
+            n = self._file.readinto(view[got:])
+            if not n:
+                raise PpmParseError(f"{self.path}: payload: file shrank while being read")
+            got += n
+        return out
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def encode_ppm(img: np.ndarray) -> bytes:
     """Encode a uint8 (H, W, 3) image as a canonical binary P6 file."""
     _check_image8(img)
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    return b"".join((header, np.ascontiguousarray(img).data))
+    return b"".join((_ppm_header(img.shape), np.ascontiguousarray(img).data))
+
+
+class PpmWriter:
+    """A binary P6 PPM file written row by row, in order.
+
+    writer[r0:r1] = rows appends uint8 rows [r0, r1); the first write
+    creates a temporary file beside `path` and writes the header. Leaving
+    the context after the last row renames that file to `path`, so the
+    output appears whole or not at all; leaving it any other way deletes
+    the temporary file. An error creating or renaming the file names `path`.
+    """
+
+    dtype = np.dtype(np.uint8)
+
+    def __init__(self, path, shape):
+        self.path = str(Path(path))
+        self.shape = tuple(shape)
+        self._file = None
+        self._next = 0
+
+    def __setitem__(self, rows: slice, img: np.ndarray) -> None:
+        a, b, _ = rows.indices(self.shape[0])
+        if a != self._next or img.shape != (b - a,) + self.shape[1:] or img.dtype != np.uint8:
+            raise ValueError(f"expected uint8 rows from {self._next} of a {self.shape} image")
+        if self._file is None:
+            head, tail = os.path.split(self.path)
+            with self._naming_path():
+                fd, self._tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head or ".")
+            self._file = os.fdopen(fd, "wb")
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode a new file at path gets
+            self._file.write(_ppm_header(self.shape))
+        self._file.write(np.ascontiguousarray(img).data)
+        self._next = b
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        complete = exc_type is None and self._next == self.shape[0]
+        if self._file is not None:
+            replaced = False
+            try:
+                self._file.close()
+                if complete:
+                    with self._naming_path():
+                        os.replace(self._tmp, self.path)
+                    replaced = True
+            finally:
+                if not replaced:
+                    os.unlink(self._tmp)
+        if exc_type is None and not complete:
+            raise ValueError(f"{self.path}: {self._next} of {self.shape[0]} rows written")
+
+    @contextlib.contextmanager
+    def _naming_path(self):
+        try:
+            yield
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, self.path) from None
+
+
+def _ppm_header(shape) -> bytes:
+    return f"P6\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

@@ -71,15 +71,22 @@ class _StageExtractor:
     def features(self, x):
         return self._walk(x)[0]
 
+    def loss_and_grad(self, out, label):
+        """(loss_perceptual(out, label, self), its gradient with respect to out)."""
+        feats, tapes = self._walk(out)
+        diffs = [fo - fl for fo, fl in zip(feats, self.features(label))]
+        loss = 0.0
+        for d in diffs:
+            loss += float(np.abs(d).sum(dtype=np.float64))
+        grad = None
+        for ops, inputs, d in reversed(list(zip(self.stages, tapes, diffs))):
+            sign = np.sign(d).astype(out.dtype)  # own sign term + the gradient from above
+            grad, _ = nn_ops.backward_ops(ops, inputs, sign if grad is None else sign + grad)
+        return loss, grad
+
     def loss_grad(self, out, label):
         """Gradient of loss_perceptual with respect to out."""
-        feats, tapes = self._walk(out)
-        stages = list(zip(self.stages, tapes, feats, self.features(label)))
-        grad = None
-        for ops, inputs, fo, fl in reversed(stages):  # own sign term + the gradient from above
-            sign = np.sign(fo - fl).astype(out.dtype)
-            grad, _ = nn_ops.backward_ops(ops, inputs, sign if grad is None else sign + grad)
-        return grad
+        return self.loss_and_grad(out, label)[1]
 
 
 class IdentityExtractor(_StageExtractor):
@@ -168,8 +175,8 @@ def loss_and_grads(graph, weights, under, over, label, extractor=None):
     l_mse = loss_mse(out, label)
     dout = ((out - label) * (2.0 / out.size)).astype(np.float32, copy=False)
     if extractor is not None:
-        l_perc = loss_perceptual(out, label, extractor)
-        dout = dout + extractor.loss_grad(out, label)
+        l_perc, dperc = extractor.loss_and_grad(out, label)
+        dout = dout + dperc
     else:
         l_perc = 0.0
     grads = _backward(graph, tapes, pre, dout)

@@ -1,6 +1,10 @@
+import contextlib
 import inspect
+import io
 import platform
 import resource
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -368,6 +372,7 @@ def test_fuse_nan_in_the_last_stripe_fails_without_writing(tmp_path, capsys):
     under[60:] = 255
     write_ppm(tmp_path / "u.ppm", under)
     write_ppm(tmp_path / "o.ppm", rand_img(64, 16, 12))
+    listing = sorted(tmp_path.iterdir())
     # 8-row stripes at tile size 8: rows 60..63 fall in the last of eight
     with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", 8 * 16), \
             mock.patch.object(fusion, "run_detailnet_fused", wraps=fusion.run_detailnet_fused) as detail:
@@ -378,7 +383,52 @@ def test_fuse_nan_in_the_last_stripe_fails_without_writing(tmp_path, capsys):
     assert code == 3
     assert detail.call_count == 8
     assert "non-finite" in capsys.readouterr().err
-    assert not (tmp_path / "x.ppm").exists()
+    assert sorted(tmp_path.iterdir()) == listing  # neither x.ppm nor a temporary file
+
+
+def test_fuse_may_overwrite_its_input(tmp_path, weights_file):
+    write_ppm(tmp_path / "u.ppm", rand_img(40, 24, 13))
+    write_ppm(tmp_path / "o.ppm", rand_img(40, 24, 14))
+    argv = ["--weights", str(weights_file), "--tile-size", "8"]
+    inputs = [str(tmp_path / "u.ppm"), str(tmp_path / "o.ppm")]
+    with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", 8 * 24):  # five stripes
+        assert cli.main(["fuse", *inputs, str(tmp_path / "fresh.ppm"), *argv]) == 0
+        assert cli.main(["fuse", *inputs, inputs[0], *argv]) == 0
+    assert (tmp_path / "u.ppm").read_bytes() == (tmp_path / "fresh.ppm").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.ppm", "o.ppm", "u.ppm", "w.lfw"]
+
+
+def traced_peak(argv):
+    """Peak bytes that one cli.main(argv) call allocates beyond what it started with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fuse_and_eval_memory_stays_flat_as_images_grow(tmp_path, weights_file):
+    # 64-row stripes at W=64 on one thread: 4 stripes at H=256, 32 at H=2048
+    w, stripe_rows = 64, 64
+    peaks = {}
+    for h in (256, 2048):
+        names = [str(tmp_path / f"{name}{h}.ppm") for name in ("u", "o", "label", "fused")]
+        for path, seed in zip(names, (1, 2, 3)):
+            write_ppm(Path(path), rand_img(h, w, seed))
+        with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", stripe_rows * w), \
+                mock.patch.object(fusion, "FUSE_THREADS", 1):
+            fuse = traced_peak(
+                ["fuse", *names[:2], names[3], "--weights", str(weights_file), "--tile-size", "8"]
+            )
+        peaks[h] = fuse, traced_peak(["eval", names[3], names[2]])
+    fuse_growth, eval_growth = (b - a for a, b in zip(peaks[256], peaks[2048]))
+    stripe_input = stripe_rows * w * 6 * 4  # a stripe's float32 (under, over) rows
+    assert fuse_growth < stripe_input
+    ssim_map_growth = (2048 - 256) * (w - 10) * 8  # float64, valid windows only
+    assert eval_growth <= ssim_map_growth
 
 
 FUSE_TESTS = (
@@ -389,6 +439,7 @@ FUSE_TESTS = (
     test_fuse_corrupt_weights_is_validation_error,
     test_fuse_non_finite_weights_fail_before_any_forward_pass,
     test_fuse_nan_in_the_last_stripe_fails_without_writing,
+    test_fuse_may_overwrite_its_input,
 )
 
 

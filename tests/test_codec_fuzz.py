@@ -2,10 +2,14 @@
 
 A mutated blob either decodes, and then round-trips exactly, or fails with
 PpmParseError / WeightFormatError naming a field; no other exception may
-escape from the parsers.
+escape from the parsers. Written to a file, a mutated PPM gives PpmReader
+the same pixels, or the same error, as decode_ppm.
 """
 
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from lightfuse.model import (
     load_weights,
     save_weights,
 )
-from lightfuse.tensor_core import PpmParseError, decode_ppm, encode_ppm
+from lightfuse import tensor_core
+from lightfuse.tensor_core import PpmParseError, PpmReader, decode_ppm, encode_ppm
 
 
 @st.composite
@@ -56,6 +61,36 @@ def test_mutated_ppm_raises_only_ppm_parse_error(data):
     except PpmParseError:
         return
     assert decode_ppm(encode_ppm(img)).tobytes() == img.tobytes()
+
+
+def outcome(parse):
+    try:
+        return parse().tobytes()
+    except PpmParseError as exc:
+        return str(exc)
+
+
+def read_file(path):
+    with PpmReader(path) as reader:
+        return reader[0 : reader.shape[0]]
+
+
+# a comment longer than the reader's first read, and digits that straddle it
+_LONG_COMMENT = b"P6 #" + b"c" * 3 * tensor_core._HEADER_READ + b"\n3 2 255\n" + _IMAGE.tobytes()
+
+
+@example(data=_LONG_COMMENT, first_read=1)
+@example(data=_LONG_COMMENT, first_read=tensor_core._HEADER_READ)
+@example(data=b"P6 " + b"9" * 5000 + b" 1 255 ", first_read=256)
+@example(data=b"P6 3 2 255", first_read=3)
+@given(data=st.sampled_from(_PPMS).flatmap(mutated), first_read=st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_streamed_reader_agrees_with_decode_ppm(data, first_read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.ppm"
+        path.write_bytes(data)
+        with mock.patch.object(tensor_core, "_HEADER_READ", first_read):
+            assert outcome(lambda: read_file(path)) == outcome(lambda: decode_ppm(data))
 
 
 # one 1x1 conv: a 56-byte LFW1 file, so most edits land in its headers

@@ -1,9 +1,11 @@
 import inspect
 import os
 import sys
+import tempfile
 import threading
 import tracemalloc
 from contextlib import ExitStack
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -358,9 +360,18 @@ def test_striped_fuse_equals_whole_image_forward(case):
             fused, traffic = fusion.fuse_images(weights, under, over, s)
             forward_out, forward_traffic = fusion.fused_forward(weights, u, o, s)
         runs[n] = (fused.tobytes(), traffic, forward_out.tobytes(), forward_traffic)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget):
+        paths = [Path(tmp) / name for name in ("u.ppm", "o.ppm", "fused.ppm")]
+        for path, img in zip(paths, (under, over)):
+            path.write_bytes(tensor_core.encode_ppm(img))
+        with tensor_core.PpmReader(paths[0]) as u_rows, tensor_core.PpmReader(paths[1]) as o_rows, \
+                tensor_core.PpmWriter(paths[2], under.shape) as out:
+            _, streamed_traffic = fusion.fuse_images(weights, u_rows, o_rows, s, out=out)
+        streamed = paths[2].read_bytes()
     stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s))
     assert runs[n_threads] == runs[1]
     assert fused.tobytes() == reference.tobytes()
+    assert streamed == tensor_core.encode_ppm(reference) and streamed_traffic == traffic
     assert traffic == forward_traffic == whole_traffic
     assert stripe_tiles == len(tile_grid(hp, wp, s))
     assert forward_out.tobytes() == model.forward(graph, weights, u, o).tobytes()
@@ -378,6 +389,8 @@ def test_fuse_images_rejects_mismatched_or_non_uint8_pairs(weights):
         fusion.fuse_images(weights, a, np.zeros((8, 16, 3), dtype=np.uint8), 4)
     with pytest.raises(ValueError, match="over must be a uint8"):
         fusion.fuse_images(weights, a, a.astype(np.float32), 4)
+    with pytest.raises(ValueError, match="out must be a uint8 8x8x3 image"):
+        fusion.fuse_images(weights, a, a, 4, out=np.zeros((8, 8, 3), dtype=np.float32))
 
 
 def _fuse_peak(weights, h, w):
@@ -526,11 +539,18 @@ def test_worker_threads_call_no_public_function(weights):
 def test_workers_run_in_the_callers_errstate(weights):
     patch, worker_ran = on_worker(1)
     seen = {}
+    caller_ran = threading.Event()
     with threads(2), patch:
         kernel = nn_ops.pointwise_channels_first
 
         def recording(*args):
-            seen[threading.current_thread() is threading.main_thread()] = np.geterr()["over"]
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller:
+                caller_ran.set()
+            elif worker_ran.is_set():
+                # the worker's later calls leave groups for the calling thread
+                caller_ran.wait(10)
+            seen[on_caller] = np.geterr()["over"]
             return kernel(*args)
 
         with mock.patch.object(nn_ops, "pointwise_channels_first", recording), np.errstate(over="raise"):

@@ -1,5 +1,7 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from lightfuse import metrics
 from lightfuse.metrics import extract_patches, format_scores, psnr, select_extreme_pair, ssim
+from lightfuse.tensor_core import PpmReader, encode_ppm
 
 
 def gray(value, hw=32):
@@ -240,6 +243,13 @@ def test_ssim_and_psnr_equal_oracles(h, w, kind, seed, budget):
     a, b = image_pair(h, w, kind, seed)
     with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget):
         assert_matches_oracles(a, b)
+        with tempfile.TemporaryDirectory() as tmp:  # the same scores from row readers
+            paths = [Path(tmp) / name for name in ("a.ppm", "b.ppm")]
+            for path, img in zip(paths, (a, b)):
+                path.write_bytes(encode_ppm(img))
+            with PpmReader(paths[0]) as ra, PpmReader(paths[1]) as rb:
+                assert ssim(ra, rb) == oracle_ssim(a, b)
+                assert psnr(ra, rb) == oracle_psnr(a, b)
 
 
 _STRIPE = 8

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from lightfuse.tensor_core import (
     PpmParseError,
+    PpmReader,
+    PpmWriter,
     decode_ppm,
     denormalize,
     encode_ppm,
@@ -91,6 +94,85 @@ def test_encode_holds_one_copy_of_the_output():
         tracemalloc.stop()
     assert data == b"P6\n1032 1024\n255\n" + img.tobytes()
     assert peak <= len(data) + 64 * 1024
+
+
+# ------------------------------------------------------------ row streaming
+
+def rand_img(h, w, seed):
+    return np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+
+
+def test_reader_rows_are_the_decoded_rows(tmp_path):
+    img = rand_img(7, 5, 0)
+    path = tmp_path / "x.ppm"
+    path.write_bytes(b"P6 # a comment\n5 7\n255\n" + img.tobytes())
+    with PpmReader(path) as reader:
+        assert (reader.shape, reader.dtype, reader.ndim) == (img.shape, img.dtype, img.ndim)
+        for a in range(-2, 10):
+            for b in range(-2, 10):
+                rows = reader[a:b]
+                assert rows.flags.writeable and rows.shape == img[a:b].shape
+                assert rows.tobytes() == img[a:b].tobytes()
+        with pytest.raises(TypeError, match="slice of rows"):
+            reader[0:7:2]
+
+
+def test_reader_checks_the_file_size_before_reading_pixels(tmp_path):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(encode_ppm(rand_img(4, 4, 1))[:-1])
+    with pytest.raises(PpmParseError, match="payload: truncated, expected 48 bytes, got 47"):
+        PpmReader(path)
+    path.write_bytes(encode_ppm(rand_img(4, 4, 1)) + b"\n")
+    with pytest.raises(PpmParseError, match="payload: 1 trailing bytes after pixel data"):
+        PpmReader(path)
+
+
+def test_reader_needs_a_regular_file():
+    with pytest.raises(PpmParseError, match="file: not a regular file"):
+        PpmReader(os.devnull)
+
+
+def test_writer_rows_give_the_encoded_file(tmp_path):
+    img = rand_img(9, 4, 2)
+    path = tmp_path / "out.ppm"
+    with PpmWriter(path, img.shape) as out:
+        for r0 in range(0, 9, 4):
+            out[r0 : r0 + 4] = img[r0 : r0 + 4]
+        assert not path.exists()  # the file appears when the writer is left
+    assert path.read_bytes() == encode_ppm(img)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["out.ppm"]
+
+
+def test_writer_failure_leaves_the_directory_as_it_was(tmp_path):
+    path = tmp_path / "out.ppm"
+    path.write_bytes(b"old")
+    img = rand_img(4, 4, 3)
+    with pytest.raises(RuntimeError, match="boom"):
+        with PpmWriter(path, img.shape) as out:
+            out[0:2] = img[0:2]
+            raise RuntimeError("boom")
+    with pytest.raises(ValueError, match="2 of 4 rows written"):
+        with PpmWriter(path, img.shape) as out:
+            out[0:2] = img[0:2]
+    with pytest.raises(ValueError, match="expected uint8 rows from 0"):
+        with PpmWriter(path, img.shape) as out:
+            out[1:2] = img[1:2]
+    assert os.listdir(tmp_path) == ["out.ppm"]
+    assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("target", ["missing/out.ppm", "."])
+def test_writer_errors_name_the_output_path(target, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    img = rand_img(2, 2, 4)
+    with pytest.raises(OSError) as err:
+        with PpmWriter(target, img.shape) as out:
+            out[0:2] = img
+    assert err.value.filename == target
+    assert os.listdir(tmp_path) == []
 
 
 def test_normalize_endpoints():

@@ -293,6 +293,37 @@ def test_backward_runs_no_forward_op(graph):
     assert calls["backward"] == 0
 
 
+@pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)
+@pytest.mark.parametrize("extractor", [IdentityExtractor(), RandomConvExtractor(seed=4)],
+                         ids=lambda e: type(e).__name__)
+def test_one_extractor_forward_per_image(graph, extractor):
+    """The perceptual loss comes from the gradient walk's own feature maps.
+
+    Oracle: loss_perceptual, extractor.loss_grad and the backward walk run
+    separately on the same forward pass.
+    """
+    weights = init_weights(graph, 0)
+    u, o, label = (rand((16, 16, 3), seed) for seed in (5, 6, 7))
+    out, pre, tapes = training._forward_cached(graph, weights, np.concatenate((u, o), axis=2))
+    dout = ((out - label) * (2.0 / out.size)).astype(np.float32, copy=False)
+    want_grads = training._backward(graph, tapes, pre, dout + extractor.loss_grad(out, label))
+    want_perc = loss_perceptual(out, label, extractor)
+
+    plain = nn_ops.depthwise_forward
+    with mock.patch.object(nn_ops, "depthwise_forward", wraps=plain) as dw:
+        loss_and_grads(graph, weights, u, o, label)
+    without = dw.call_count
+    with mock.patch.object(nn_ops, "depthwise_forward", wraps=plain) as dw:
+        _, report, grads = loss_and_grads(graph, weights, u, o, label, extractor)
+    depthwise_stages = sum(isinstance(op, nn_ops.DepthwiseKernel) for ops in extractor.stages for op in ops)
+    assert dw.call_count == without + 2 * depthwise_stages  # once on out, once on label
+    if graph.name == "lightfuse" and depthwise_stages:
+        assert (without, dw.call_count) == (3, 5)
+    assert report.l_perceptual == want_perc
+    assert grads.keys() == want_grads.keys()
+    assert all(same_bytes(grads[k], want_grads[k]) for k in grads)
+
+
 # ------------------------------------------------------------ forward walk
 
 WALK_GRAPHS = {
