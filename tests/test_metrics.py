@@ -286,6 +286,27 @@ def test_ssim_memory_is_bounded_by_its_output_map():
     assert peak < 8 * oh * ow + int(2.5 * 2**20)
 
 
+def test_ssim_on_readers_grows_by_its_output_map_only(tmp_path):
+    # W=64: 128-row stripes, 2 per channel at H=256 and 16 at H=2048
+    w, beyond_map = 64, {}
+    for h in (256, 2048):
+        paths = [tmp_path / f"{name}{h}.ppm" for name in ("a", "b")]
+        for path, img in zip(paths, image_pair(h, w, "random", h)):
+            path.write_bytes(encode_ppm(img))
+        with PpmReader(paths[0]) as ra, PpmReader(paths[1]) as rb:
+            ssim(ra, rb)  # the first call in a process allocates ~1.5 KB for good
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ssim(ra, rb)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        beyond_map[h] = peak - 8 * (h - 10) * (w - 10)
+    # a few loop integers at most, no rows
+    assert abs(beyond_map[2048] - beyond_map[256]) < 1024
+
+
 @pytest.mark.parametrize("h, w", [(1021, 1027), (2048, 1536)])
 def test_psnr_equals_the_float64_mean_formula_at_full_size(h, w):
     # integer sums are exact, so the MSE is np.mean's float in any order
