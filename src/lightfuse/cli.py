@@ -7,7 +7,6 @@ assertion failure.
 import argparse
 import ctypes
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare fused and unfused detail-branch runs")
     p.add_argument("dims", type=_dims, help="input size, e.g. 256x256")
     p.add_argument("--tile-size", type=_positive_int, default=32)
-    p.add_argument("--repetitions", type=_nonnegative_int, default=1)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_bench)
 
@@ -143,22 +141,14 @@ def cmd_bench(args) -> int:
     print("bit-equal: true")
     print(fused_traffic.dump())
     print(unfused_traffic.dump())
-    if args.repetitions > 0:
-        for label, fn in (
-            ("fused", lambda: fusion.run_detailnet_fused(x, weights, tile)),
-            ("unfused", lambda: fusion.run_detailnet_unfused(x, weights)),
-        ):
-            t0 = time.perf_counter()
-            for _ in range(args.repetitions):
-                fn()
-            print(f"{label}: {(time.perf_counter() - t0) / args.repetitions:.6f} s/run")
     return EXIT_OK
 
 
 def _read_scene_image(path):
     """The decoded image, or None after a warning naming the path."""
     try:
-        return tensor_core.decode_ppm(path.read_bytes())
+        with tensor_core.PpmReader(path) as reader:
+            return reader[:]
     except tensor_core.PpmParseError as exc:
         reason = f"not a valid PPM ({exc})"
     except OSError as exc:
@@ -255,12 +245,10 @@ def cmd_pair(args) -> int:
         if f.suffix.lower() != ".ppm":
             print(f"warning: {f.name}: not a PPM file, skipped", file=sys.stderr)
             continue
-        try:
-            images.append(tensor_core.decode_ppm(f.read_bytes()))
-        except tensor_core.PpmParseError as exc:
-            print(f"warning: {f.name}: not a valid PPM ({exc}), skipped", file=sys.stderr)
-            continue
-        names.append(f.name)
+        img = _read_scene_image(f)
+        if img is not None:
+            images.append(img)
+            names.append(f.name)
     if len(images) < 2:
         raise ValueError("need at least two decodable PPM images")
     ui, oi = metrics.select_extreme_pair(images)
@@ -277,7 +265,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:

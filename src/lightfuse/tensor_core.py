@@ -129,7 +129,8 @@ class PpmReader:
 
     def __init__(self, path):
         self.path = path
-        self._file = open(path, "rb", buffering=0)
+        # O_NONBLOCK: a pipe opens at once and fails the regular-file check below
+        self._file = open(path, "rb", buffering=0, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
         try:
             fd = self._file.fileno()
             status = os.fstat(fd)

@@ -127,9 +127,16 @@ def test_reader_checks_the_file_size_before_reading_pixels(tmp_path):
         PpmReader(path)
 
 
-def test_reader_needs_a_regular_file():
+def test_reader_needs_a_regular_file(tmp_path, fifo_call):
     with pytest.raises(PpmParseError, match="file: not a regular file"):
         PpmReader(os.devnull)
+    with pytest.raises(IsADirectoryError):
+        PpmReader(tmp_path)
+    if hasattr(os, "mkfifo"):  # a pipe with no writer fails at once instead of blocking open()
+        fifo = tmp_path / "pipe.ppm"
+        os.mkfifo(fifo)
+        with pytest.raises(PpmParseError, match="file: not a regular file"):
+            fifo_call(fifo, lambda: PpmReader(fifo))
 
 
 def test_writer_rows_give_the_encoded_file(tmp_path):
