@@ -6,6 +6,8 @@ assertion failure.
 
 import argparse
 import ctypes
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -106,11 +108,25 @@ def _parse_file(path, parse):
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _read_weight_file(path) -> bytes:
+    """The file's bytes; a FIFO or other non-regular file is a WeightFormatError, found without blocking."""
+    with tensor_core._open_nonblocking(path, buffering=0) as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            raise model.WeightFormatError("file: not a regular file")
+        return f.readall()
+
+
+def _write_file(path, data: bytes) -> None:
+    """Write data to path; a FIFO with no reader fails at once (ENXIO) instead of blocking."""
+    with tensor_core._open_nonblocking(path, "wb") as f:
+        f.write(data)
+
+
 def cmd_fuse(args) -> int:
     with _parse_file(args.under, tensor_core.PpmReader) as under, \
             _parse_file(args.over, tensor_core.PpmReader) as over:
         graph = model.build_lightfuse()
-        weights = _parse_file(args.weights, lambda path: model.load_weights(Path(path).read_bytes(), graph))
+        weights = _parse_file(args.weights, lambda path: model.load_weights(_read_weight_file(path), graph))
         with tensor_core.PpmWriter(args.out, under.shape) as out:
             _, traffic = fusion.fuse_images(weights, under, over, args.tile_size, out=out)
     print(traffic.dump())
@@ -144,11 +160,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _read_scene_image(path):
-    """The decoded image, or None after a warning naming the path."""
+def _scene_image(path, read=lambda reader: reader[:]):
+    """read(the file's PpmReader), by default the decoded image, or None after a warning naming the path."""
     try:
         with tensor_core.PpmReader(path) as reader:
-            return reader[:]
+            return read(reader)
     except tensor_core.PpmParseError as exc:
         reason = f"not a valid PPM ({exc})"
     except OSError as exc:
@@ -170,12 +186,12 @@ def _load_training_triples(data_dir):
         if not label_path.exists():
             print(f"warning: {scene}: no label.ppm, skipped", file=sys.stderr)
             continue
-        images = [_read_scene_image(f) for f in sorted(scene.glob("*.ppm")) if f.name != "label.ppm"]
+        images = [_scene_image(f) for f in sorted(scene.glob("*.ppm")) if f.name != "label.ppm"]
         exposures = [img for img in images if img is not None]
         if len(exposures) < 2:
             print(f"warning: {scene}: fewer than two exposures, skipped", file=sys.stderr)
             continue
-        label_img = _read_scene_image(label_path)
+        label_img = _scene_image(label_path)
         if label_img is None:
             continue
         if any(img.shape != label_img.shape for img in exposures):
@@ -196,12 +212,15 @@ def _load_training_triples(data_dir):
 def _keep_freed_heap() -> None:
     """Let glibc keep freed heap memory in this process instead of unmapping it.
 
-    Training allocates and frees the same few MB of activations for every
-    sample. With glibc's adaptive defaults the heap top goes back to the
-    kernel after a sample and is page-faulted in again by the next: 500 to
-    950 faults per 64x64 sample and a fifth of a `train` call, kernel time
-    that stretches whenever the host is busy. The values are the ceilings
-    the adaptive rule itself can reach. A no-op without glibc.
+    Every command allocates and frees the same few MB again and again:
+    training its activations for every sample, fuse and eval their stripe
+    buffers. With glibc's adaptive defaults the heap top goes back to the
+    kernel after each and is page-faulted in again by the next: 500 to 950
+    faults per 64x64 training sample and a fifth of a `train` call, and
+    300k faults instead of about 220 over ten 1021x1027 fuse + eval calls
+    in one process, fuse 5-10% slower; kernel time that stretches whenever
+    the host is busy. The values are the ceilings the adaptive rule itself
+    can reach. main sets them once for every command. A no-op without glibc.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -212,16 +231,15 @@ def _keep_freed_heap() -> None:
 
 
 def cmd_train(args) -> int:
-    _keep_freed_heap()
     triples = _load_training_triples(args.data_dir)
     if not triples:
         raise ValueError("no usable training triples found")
     graph = model.build_lightfuse()
     initial = model.init_weights(graph, args.seed)
     trained, curve = training.train_toy(graph, initial, triples, args.steps, seed=args.seed)
-    Path(args.out).write_bytes(model.save_weights(trained, graph))
+    _write_file(args.out, model.save_weights(trained, graph))
     curve_path = args.curve if args.curve else f"{args.out}.csv"
-    Path(curve_path).write_text(training.curve_to_csv(curve))
+    _write_file(curve_path, training.curve_to_csv(curve).encode())
     if curve:
         print(f"steps={len(curve)} triples={len(triples)} final_mse={curve[-1].l_mse:.6g}")
     else:
@@ -239,19 +257,18 @@ def cmd_pair(args) -> int:
     scene = Path(args.scene_dir)
     if not scene.is_dir():
         raise NotADirectoryError(f"not a directory: {scene}")
-    names = []
-    images = []
+    found = []  # (file name, shape, mean): no pixels are kept
     for f in sorted(p for p in scene.iterdir() if p.is_file()):
         if f.suffix.lower() != ".ppm":
             print(f"warning: {f.name}: not a PPM file, skipped", file=sys.stderr)
             continue
-        img = _read_scene_image(f)
-        if img is not None:
-            images.append(img)
-            names.append(f.name)
-    if len(images) < 2:
+        seen = _scene_image(f, lambda reader: (reader.shape, metrics._image_mean(reader)))
+        if seen is not None:
+            found.append((f.name, *seen))
+    if len(found) < 2:
         raise ValueError("need at least two decodable PPM images")
-    ui, oi = metrics.select_extreme_pair(images)
+    names, shapes, means = zip(*found)
+    ui, oi = metrics._extreme_pair(shapes, means)
     print(f"under={names[ui]}")
     print(f"over={names[oi]}")
     return EXIT_OK
@@ -261,6 +278,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _keep_freed_heap()
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,11 +16,13 @@ gathered channels-first into one buffer and carried through the chain in
 place. Grouping is a numpy batching device only; it changes neither the
 output bits nor the traffic model below.
 
-The groups are shared out among FUSE_THREADS threads, one per CPU this
-process may use. The calling thread starts the others, which claim groups
-one at a time from a shared iterator, runs its own `alongside` work (a
-stripe's global branch), then claims groups too. numpy's ufuncs and copies
-release the GIL, so the pinned-order arithmetic runs on every CPU. Each
+The groups are shared out among tensor_core.CPU_THREADS threads, one per
+CPU this process may use, by tensor_core._share_work, which metrics.ssim
+uses for its row stripes too. The calling thread starts the others, which
+claim groups one at a time from a shared iterator, runs its own `alongside`
+work (a stripe's global branch), then claims groups too. numpy's ufuncs
+and copies release the GIL, so the pinned-order arithmetic runs on every
+CPU. Each
 thread owns one set of group buffers, allocated by the caller, and writes
 its groups' disjoint rows and columns of the output; which thread runs a
 group changes no bit. Worker threads call only the pinned-order kernel and
@@ -53,10 +55,7 @@ stay on the calling thread, so the first non-finite stripe is the one
 reported.
 """
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,17 +89,6 @@ _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 # 62 MB at 196608.
 FUSE_STRIPE_PIXELS = 98304
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-# Threads that run the detail branch's tile groups, the calling thread
-# included: the CPUs this process may use. 1 starts no thread.
-FUSE_THREADS = _usable_cpus()
 
 
 @dataclass(frozen=True)
@@ -150,7 +138,7 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
     on chip. Each layer computes in result_type(its input, its weights), as
     the unfused path does, so a float64 input stays float64.
 
-    The tile groups run on FUSE_THREADS threads. `alongside`, if given, is
+    The tile groups run on tensor_core.CPU_THREADS threads. `alongside`, if given, is
     called with no arguments on the calling thread once the other threads
     have started, before the caller takes groups itself. Every thread is
     joined before this returns or raises. An exception on the calling
@@ -174,58 +162,26 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
     ]
     cap = min(s, h) * group_w
     out = np.empty((h, w, chans[-1]), dtype=dtypes[-1])
-    pending, claim = iter(groups), threading.Lock()
-    failed = []
 
-    def run_groups(acts, scratch):
-        while not failed:
-            with claim:
-                group = next(pending, None)
-            if group is None:
-                return
-            r0, r1, c0, c1 = group
-            rows, cols = r1 - r0, c1 - c0
-            t = [buf[: c * rows * cols].reshape(c, rows * cols) for buf, c in zip(acts, chans)]
-            t[0].reshape(chans[0], rows, cols)[...] = x[r0:r1, c0:c1].transpose(2, 0, 1)
-            for i, kern in enumerate(kernels):
-                prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
-                nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
-                np.maximum(t[i + 1], 0.0, out=t[i + 1])  # nn_ops.relu's ufunc
-            out[r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols).transpose(1, 2, 0)
-
-    def worker(acts, scratch):
-        try:
-            run_groups(acts, scratch)
-        except BaseException as exc:
-            failed.append(exc)
+    def run_group(group, acts, scratch):
+        r0, r1, c0, c1 = group
+        rows, cols = r1 - r0, c1 - c0
+        t = [buf[: c * rows * cols].reshape(c, rows * cols) for buf, c in zip(acts, chans)]
+        t[0].reshape(chans[0], rows, cols)[...] = x[r0:r1, c0:c1].transpose(2, 0, 1)
+        for i, kern in enumerate(kernels):
+            prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
+            nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
+            np.maximum(t[i + 1], 0.0, out=t[i + 1])  # nn_ops.relu's ufunc
+        out[r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols).transpose(1, 2, 0)
 
     buffers = [
         (
             [np.empty(c * cap, dtype=d) for c, d in zip(chans, dtypes)],
             [np.empty(c * cap, dtype=d) for c, d in zip(chans[1:], dtypes[1:])],
         )
-        for _ in range(min(FUSE_THREADS, len(groups)))
+        for _ in range(min(tensor_core.CPU_THREADS, len(groups)))
     ]
-    started = []
-    try:
-        for acts, scratch in buffers[1:]:
-            # the caller's context carries its np.errstate to the worker
-            thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(worker, acts, scratch)
-            )
-            thread.start()
-            started.append(thread)
-        if alongside is not None:
-            alongside()
-        run_groups(*buffers[0])
-    except BaseException as exc:
-        failed.append(exc)  # the workers stop at their next claim
-        raise
-    finally:
-        for thread in started:
-            thread.join()
-    if failed:
-        raise failed[0]
+    tensor_core._share_work(groups, run_group, buffers, alongside)
     return out, _fused_traffic(h, w, s)
 
 

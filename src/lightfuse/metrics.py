@@ -6,21 +6,38 @@ files. SSIM is the standard single-scale formulation: 11x11 Gaussian window
 with sigma 1.5, C1 = (0.01*255)^2, C2 = (0.03*255)^2, valid windows only
 (no padding), averaged over windows then channels.
 
-SSIM runs per channel in horizontal stripes of output rows, so its float64
-working set does not grow with image height: a stripe fills five maps (x,
-y, x*x, y*y, x*y) over its rows plus the 10 halo rows into preallocated
-buffers and filters them in place. Each pass keeps the pinned order - a
-zero start, then + kernel[u] * x for u ascending, every product rounded
-before its add - and each stripe writes its rows of one contiguous
-(H-10, W-10) SSIM map, whose mean is taken once per channel. The result is
-therefore the same float as filtering whole images.
+SSIM runs in horizontal stripes of output rows, so its working set does
+not grow with image height. A stripe reads its rows plus the 10 halo rows
+of each input once, then, channel by channel, fills five maps (x, y, x*x,
+y*y, x*y) into preallocated buffers and filters them in place. Each pass
+keeps the pinned order - a zero start, then + kernel[u] * x for u
+ascending, every product rounded before its add - so every value of the
+(H-10, W-10) SSIM map is the one whole-image filtering gives.
+
+No map is kept. The stripes are shared out by tensor_core._share_work
+among tensor_core.CPU_THREADS threads (the CPU count the tile executor
+uses too), each with its own buffers, allocated by the caller, and each
+stripe hands its rows of the map to a _TreeSum per channel. numpy takes a
+contiguous array's mean as np.add.reduce / n, and that reduce is a pairwise
+tree whose shape depends only on n; _TreeSum reduces the tree's nodes that
+lie inside a stripe and adds them up in the tree's order, whichever stripe
+ends first. Each channel's mean is therefore the float the map's mean()
+gives, and the score the same float as the whole-image formulation. Worker
+threads call numpy, _filter_rows, a reader's row reads and _TreeSum, never
+a function in a module's __all__, so a traced run keeps seeing one thread.
+They run in the caller's np.errstate; every worker is joined before ssim
+returns or raises, and a worker's exception is raised on the caller.
+The stripe buffers are allocated and freed on every call; cli.main keeps
+glibc from unmapping freed heap (cli._keep_freed_heap), so a process that
+scores again and again does not page-fault them in each time.
 """
 
 import math
+import threading
 
 import numpy as np
 
-from .tensor_core import PpmReader
+from . import tensor_core
 
 __all__ = [
     "psnr",
@@ -36,16 +53,26 @@ _C1 = (0.01 * 255) ** 2
 _C2 = (0.03 * 255) ** 2
 # Input pixels per SSIM stripe: a stripe is max(1, SSIM_STRIPE_PIXELS // width)
 # output rows, so its float64 working set stays near cache size at any width.
-# PSNR sums its integer squares over stripes of as many rows.
-# At 1021x1027 (2-vCPU x86 host) 8192 took 0.41-0.46 s, against 0.61 s at
-# 4096 and 0.71 s at 32768.
-SSIM_STRIPE_PIXELS = 8192
+# PSNR sums its integer squares, and _image_mean its values, over stripes of
+# as many rows.
+# Swept at 1021x1027 with the stripes on 2 threads (2-vCPU x86 host, eval's
+# p25 in a fuse + eval loop): 0.51-0.54 s at 8192, 0.42-0.45 s here,
+# 0.38-0.43 s at 16384, 0.42-0.43 s at 20480 and 0.45-0.47 s at 24576,
+# against 0.53-0.56 s for one thread and a whole map at 8192. 12288 keeps
+# a thread's buffers near 2 MB.
+SSIM_STRIPE_PIXELS = 12288
+# numpy's pairwise-sum leaf: the largest block it sums without splitting
+_SUM_LEAF = 128
+
+
+def _check_image(img):
+    if not isinstance(img, (np.ndarray, tensor_core.PpmReader)) or img.dtype != np.uint8 or img.ndim != 3:
+        raise ValueError("expected uint8 images of shape (H, W, 3)")
 
 
 def _check_same_images(a, b):
-    for img in (a, b):
-        if not isinstance(img, (np.ndarray, PpmReader)) or img.dtype != np.uint8 or img.ndim != 3:
-            raise ValueError("expected uint8 images of shape (H, W, 3)")
+    _check_image(a)
+    _check_image(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
@@ -78,16 +105,18 @@ def _gaussian_window(n=_SSIM_WINDOW, sigma=_SSIM_SIGMA):
     return g / g.sum()
 
 
-def _filter_rows(maps, kernel, tmp, wide, out, narrow):
+def _filter_rows(maps, kernel, tmp, out, prod):
     """Separable valid correlation of every map into out.
 
-    maps is (M, rows + n - 1, W); tmp and wide are (M, rows, W) and out and
-    narrow (M, rows, W - n + 1); wide and narrow hold products. Each pass
-    starts from zero and adds kernel[u] * x for u ascending, one rounded
-    product at a time.
+    maps is (M, rows + n - 1, W), tmp is (M, rows, W) and out (M, rows,
+    W - n + 1); prod is a flat buffer of at least tmp.size elements that
+    holds the products of either pass. Each pass starts from zero and adds
+    kernel[u] * x for u ascending, one rounded product at a time.
     """
     n = kernel.size
     rows, ow = out.shape[1:]
+    wide = prod[: tmp.size].reshape(tmp.shape)
+    narrow = prod[: out.size].reshape(out.shape)
     tmp[...] = 0.0
     for u in range(n):
         np.multiply(maps[:, u : u + rows], kernel[u], out=wide)
@@ -98,48 +127,104 @@ def _filter_rows(maps, kernel, tmp, wide, out, narrow):
         np.add(out, narrow, out=out)
 
 
+class _TreeSum:
+    """np.add.reduce of a flat float64 array of n elements, from its pieces.
+
+    numpy sums a contiguous float64 array pairwise, in a tree whose shape
+    depends only on n: a node of more than _SUM_LEAF elements splits at
+    n // 2 rounded down to a multiple of 8, and a leaf is summed with 8
+    accumulators. add() takes one piece, elements [start, start + size),
+    from any thread and in any order. It reduces each largest node that
+    lies inside the piece with one np.add.reduce, which sums that node as
+    the whole array's reduce does. The part of a leaf that crosses the
+    piece's edge is kept until the leaf's other parts arrive, and two
+    sibling sums are added, left + right, as soon as both exist. total()
+    is then the float np.add.reduce gives on the whole array. What is held
+    between calls is a few sums and leaf parts at the edges of pieces not
+    yet added.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self._sums = {}  # (start, size) -> the node's sum
+        self._parts = {}  # leaf start -> {part start: part}
+        self._lock = threading.Lock()
+
+    def add(self, start, piece) -> None:
+        end = start + piece.size
+        inside = []  # (node, size, sum) of the largest nodes inside the piece
+        crossed = []  # (node, size, half) of the split nodes that cross its edges
+        edges = []  # (leaf, size, part start, part) of the leaves that do
+        todo = [(0, self.n)]  # nodes that overlap the piece
+        while todo:
+            node, size = todo.pop()
+            if start <= node and node + size <= end:
+                inside.append((node, size, np.add.reduce(piece[node - start : node - start + size])))
+            elif size > _SUM_LEAF:
+                half = size // 2 - size // 2 % 8
+                crossed.append((node, size, half))
+                if node + half < end:
+                    todo.append((node + half, size - half))
+                if node + half > start:
+                    todo.append((node, half))
+            else:
+                lo = max(node, start)
+                edges.append((node, size, lo, piece[lo - start : min(node + size, end) - start].copy()))
+        with self._lock:
+            sums = self._sums
+            for node, size, value in inside:
+                sums[node, size] = value
+            for node, size, lo, part in edges:
+                parts = self._parts.setdefault(node, {})
+                parts[lo] = part
+                if sum(p.size for p in parts.values()) == size:
+                    del self._parts[node]
+                    sums[node, size] = np.add.reduce(np.concatenate([parts[k] for k in sorted(parts)]))
+            # children before parents: crossed is in depth-first preorder
+            for node, size, half in reversed(crossed):
+                left, right = (node, half), (node + half, size - half)
+                if left in sums and right in sums:
+                    sums[node, size] = sums.pop(left) + sums.pop(right)
+
+    def total(self) -> float:
+        return float(self._sums[0, self.n])
+
+
 def ssim(a, b) -> float:
     """Mean single-scale SSIM over valid windows, averaged across channels.
 
     a and b are uint8 (H, W, 3) arrays or tensor_core.PpmReaders; a stripe
-    reads only its rows and halo rows.
+    reads its rows and halo rows once, and threads may share a reader.
     """
     _check_same_images(a, b)
     if min(a.shape[0], a.shape[1]) < _SSIM_WINDOW:
         raise ValueError(f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM")
     win = _gaussian_window()
     halo = _SSIM_WINDOW - 1
-    h, w = a.shape[:2]
+    h, w, channels = a.shape
     oh, ow = h - halo, w - halo
     stripe = min(oh, max(1, SSIM_STRIPE_PIXELS // w))
-    # maps holds x, y, x*x, y*y and x*y over one stripe plus its halo rows
-    maps = np.empty((5, stripe + halo, w))
-    tmp = np.empty((5, stripe, w))
-    wide = np.empty((5, stripe, w))
-    filt = np.empty((5, stripe, ow))
-    narrow = np.empty((5, stripe, ow))
-    smap = np.empty((oh, ow))
-    channel_means = []
-    for c in range(a.shape[2]):
-        for r0 in range(0, oh, stripe):
-            rows = min(stripe, oh - r0)
-            m = maps[:, : rows + halo]
-            m[0] = a[r0 : r0 + rows + halo][:, :, c]
-            m[1] = b[r0 : r0 + rows + halo][:, :, c]
+    sums = [_TreeSum(oh * ow) for _ in range(channels)]
+
+    def run_stripe(r0, maps, tmp, filt, prod):
+        rows = min(stripe, oh - r0)
+        ra, rb = a[r0 : r0 + rows + halo], b[r0 : r0 + rows + halo]
+        m, f = maps[:, : rows + halo], filt[:, :rows]
+        for c in range(channels):
+            m[0] = ra[:, :, c]
+            m[1] = rb[:, :, c]
             np.multiply(m[0], m[0], out=m[2])
             np.multiply(m[1], m[1], out=m[3])
             np.multiply(m[0], m[1], out=m[4])
-            f = filt[:, :rows]
-            s = narrow[:, :rows]
-            _filter_rows(m, win, tmp[:, :rows], wide[:, :rows], f, s)
+            _filter_rows(m, win, tmp[:, :rows], f, prod)
             mx, my, vx, vy, cxy = f
-            mx2, my2, mxy = s[:3]
+            # the filter's products are spent: reuse prod for four (rows, ow) maps
+            mx2, my2, mxy, num = prod[: 4 * rows * ow].reshape(4, rows, ow)
             # vx, vy, cxy: filtered second moments minus the squared means
             np.subtract(vx, np.multiply(mx, mx, out=mx2), out=vx)
             np.subtract(vy, np.multiply(my, my, out=my2), out=vy)
             np.subtract(cxy, np.multiply(mx, my, out=mxy), out=cxy)
             # ((2*mx*my + C1) * (2*cxy + C2)) / ((mx^2 + my^2 + C1) * (vx + vy + C2))
-            num = smap[r0 : r0 + rows]
             np.multiply(mx, 2.0, out=num)
             np.multiply(num, my, out=num)
             np.add(num, _C1, out=num)
@@ -152,27 +237,60 @@ def ssim(a, b) -> float:
             np.add(vx, _C2, out=vx)
             np.multiply(den, vx, out=den)
             np.divide(num, den, out=num)
-        channel_means.append(float(smap.mean()))
-    return float(np.mean(channel_means))
+            sums[c].add(r0 * ow, num.reshape(-1))
+
+    starts = range(0, oh, stripe)
+    # per thread: maps holds x, y, x*x, y*y and x*y over one stripe plus its
+    # halo rows; tmp the vertical pass, filt the filtered maps
+    buffers = [
+        (
+            np.empty((5, stripe + halo, w)),
+            np.empty((5, stripe, w)),
+            np.empty((5, stripe, ow)),
+            np.empty(5 * stripe * w),
+        )
+        for _ in range(min(tensor_core.CPU_THREADS, len(starts)))
+    ]
+    tensor_core._share_work(starts, run_stripe, buffers)
+    return float(np.mean([s.total() / (oh * ow) for s in sums]))
+
+
+def _image_mean(img) -> float:
+    """np.mean(img, dtype=np.float64) of a uint8 (H, W, 3) array or tensor_core.PpmReader.
+
+    The image is read once, in stripes of rows whose values are summed as
+    integers. A float64 sum of uint8 values is exact in any order, so the
+    mean is the same float.
+    """
+    _check_image(img)
+    h, w = img.shape[:2]
+    rows = max(1, SSIM_STRIPE_PIXELS // w)
+    total = sum(int(img[r0 : r0 + rows].sum(dtype=np.int64)) for r0 in range(0, h, rows))
+    return total / math.prod(img.shape)
+
+
+def _extreme_pair(shapes, means) -> tuple:
+    """select_extreme_pair's rule on the images' shapes and means."""
+    if len(means) < 2:
+        raise ValueError("need at least two images to select a pair")
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValueError("all images must share the same dimensions")
+    under = int(np.argmin(means))
+    max_mean = max(means)
+    over = next(i for i, m in enumerate(means) if m == max_mean and i != under)
+    return under, over
 
 
 def select_extreme_pair(images) -> tuple:
     """Indices of the darkest and brightest images by mean pixel value.
 
-    Exposure is estimated as the mean over all values. Ties go to the lowest
-    index; the two returned indices are always distinct.
+    Exposure is estimated as the mean over all values, np.mean's float64.
+    Ties go to the lowest index; the two returned indices are always
+    distinct. images are uint8 (H, W, 3) arrays or tensor_core.PpmReaders.
     """
     if len(images) < 2:
         raise ValueError("need at least two images to select a pair")
-    shape = images[0].shape
-    for img in images[1:]:
-        if img.shape != shape:
-            raise ValueError("all images must share the same dimensions")
-    means = [float(np.mean(img, dtype=np.float64)) for img in images]
-    under = int(np.argmin(means))
-    max_mean = max(means)
-    over = next(i for i, m in enumerate(means) if m == max_mean and i != under)
-    return under, over
+    return _extreme_pair([img.shape for img in images], [_image_mean(img) for img in images])
 
 
 def extract_patches(img: np.ndarray, size: int = 256, stride: int = 256):

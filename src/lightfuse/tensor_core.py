@@ -4,12 +4,18 @@ Conventions used across the package:
   * a "tensor" is a numpy float32 array of shape (height, width, channels),
     row-major with interleaved channels;
   * an 8-bit image is a numpy uint8 array of shape (height, width, 3).
+
+The module also holds the work sharing that the tile executor
+(fusion.run_detailnet_fused) and SSIM (metrics.ssim) have in common:
+_share_work runs a call's work units on CPU_THREADS threads.
 """
 
 import contextlib
+import contextvars
 import os
 import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,75 @@ _HEADER_GAP = _WHITESPACE + b"#"
 # Bytes PpmReader reads first for the header; it reads as many again while
 # a header runs on past them (a long comment).
 _HEADER_READ = 256
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that share a call's work units, the calling thread included: the
+# CPUs this process may use. 1 starts no thread.
+CPU_THREADS = _usable_cpus()
+
+
+def _share_work(units, run, buffers, alongside=None) -> None:
+    """run(unit, *buffers[i]) for every unit, on len(buffers) threads.
+
+    The calling thread starts one thread per buffer set after the first;
+    each thread claims units one at a time, in order, from a shared
+    iterator. The calling thread then calls `alongside`, if given, with no
+    arguments, and claims units too, with buffers[0]. A worker runs in a
+    copy of the caller's context, which carries its np.errstate. Every
+    thread is joined before this returns or raises. An exception on the
+    calling thread is raised as it is; otherwise the first exception of a
+    worker is raised here. Workers stop at their next claim once any thread
+    has failed.
+    """
+    pending, claim, failed = iter(units), threading.Lock(), []
+
+    def run_units(*bufs):
+        while not failed:
+            with claim:
+                unit = next(pending, None)
+            if unit is None:
+                return
+            run(unit, *bufs)
+
+    def worker(*bufs):
+        try:
+            run_units(*bufs)
+        except BaseException as exc:
+            failed.append(exc)
+
+    started = []
+    try:
+        for bufs in buffers[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, *bufs))
+            thread.start()
+            started.append(thread)
+        if alongside is not None:
+            alongside()
+        run_units(*buffers[0])
+    except BaseException as exc:
+        failed.append(exc)  # the workers stop at their next claim
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _open_nonblocking(path, mode="rb", buffering=-1):
+    """open() with O_NONBLOCK: a FIFO opens at once instead of waiting for a peer.
+
+    O_NONBLOCK changes nothing for a regular file. Opening a FIFO for
+    writing with no reader fails with ENXIO.
+    """
+    return open(path, mode, buffering=buffering, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
 
 
 class PpmParseError(ValueError):
@@ -120,8 +195,9 @@ class PpmReader:
     Opening parses the header and checks the file size against it, with
     decode_ppm's error messages, before any pixel is read. reader[a:b]
     returns rows [a, b) as a new uint8 (b - a, W, 3) array; shape, dtype and
-    ndim are those of the decoded image. Use as a context manager, or call
-    close().
+    ndim are those of the decoded image. Each read names its file offset
+    (os.preadv), so threads may share a reader. Use as a context manager, or
+    call close().
     """
 
     dtype = np.dtype(np.uint8)
@@ -129,10 +205,10 @@ class PpmReader:
 
     def __init__(self, path):
         self.path = path
-        # O_NONBLOCK: a pipe opens at once and fails the regular-file check below
-        self._file = open(path, "rb", buffering=0, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
+        # a pipe opens at once and fails the regular-file check below
+        self._file = _open_nonblocking(path, buffering=0)
         try:
-            fd = self._file.fileno()
+            fd = self._fd = self._file.fileno()
             status = os.fstat(fd)
             if not stat.S_ISREG(status.st_mode):
                 raise PpmParseError("file: not a regular file")
@@ -158,11 +234,10 @@ class PpmReader:
             raise TypeError("a PpmReader is indexed by a slice of rows")
         a, b, _ = rows.indices(self.shape[0])
         out = np.empty((max(0, b - a),) + self.shape[1:], dtype=np.uint8)
-        row_bytes = self.shape[1] * 3
-        self._file.seek(self._offset + a * row_bytes)
+        start = self._offset + a * self.shape[1] * 3
         view, got = memoryview(out.reshape(-1)), 0
         while got < out.nbytes:
-            n = self._file.readinto(view[got:])
+            n = os.preadv(self._fd, [view[got:]], start + got)
             if not n:
                 raise PpmParseError(f"{self.path}: payload: file shrank while being read")
             got += n

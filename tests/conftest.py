@@ -7,9 +7,10 @@ import pytest
 def _call_beside_fifo(fifo, fn, timeout=5.0):
     """fn()'s result, from a worker thread; the test fails if fn is still blocked after timeout s.
 
-    A call blocked on the FIFO (in open(), or reading it) is then released by
-    opening the FIFO's write end without blocking and closing it again, so a
-    failing test does not hang the suite. An exception from fn is re-raised.
+    A call blocked on the FIFO (in open(), reading it or writing it) is then
+    released by opening the FIFO's other end without blocking and closing it
+    again, so a failing test does not hang the suite. An exception from fn
+    is re-raised.
     """
     outcome = {}
 
@@ -26,10 +27,11 @@ def _call_beside_fifo(fifo, fn, timeout=5.0):
     for _ in range(100):
         if not worker.is_alive():
             break
-        try:
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-        except OSError:  # ENXIO: no reader has the FIFO open
-            pass
+        for end in (os.O_WRONLY, os.O_RDONLY):
+            try:
+                os.close(os.open(fifo, end | os.O_NONBLOCK))
+            except OSError:  # ENXIO: no reader has the FIFO open
+                pass
         worker.join(0.1)
     if blocked:
         pytest.fail(f"still blocked on {fifo} after {timeout} s")

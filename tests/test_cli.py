@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lightfuse import cli, fusion
+from lightfuse import cli, fusion, tensor_core
 from lightfuse.model import build_lightfuse, init_weights, save_weights
 from lightfuse.tensor_core import decode_ppm, encode_ppm
 
@@ -194,6 +194,33 @@ def test_pair_missing_directory(tmp_path):
     assert cli.main(["pair", str(tmp_path / "nope")]) == 2
 
 
+def test_pair_memory_does_not_grow_with_the_number_of_exposures(tmp_path):
+    # a decoded 512x512 exposure is 768 KB; pair reads one file at a time
+    # and keeps each file's mean, not its pixels
+    peaks = {}
+    for count in (2, 6):
+        scene = tmp_path / f"scene{count}"
+        scene.mkdir()
+        for i in range(count):
+            write_ppm(scene / f"e{i}.ppm", rand_img(512, 512, i))
+        traced_peak(["pair", str(scene)])  # the first call keeps a little for good
+        peaks[count] = traced_peak(["pair", str(scene)])
+    assert peaks[6] - peaks[2] < 32 * 1024
+
+
+def test_pair_selects_from_the_exact_means(tmp_path):
+    # one or two values of 786,432 raised by one: the means differ by less
+    # than half a float32 ulp at 100, so only an exact (float64 or integer)
+    # mean tells the three images apart
+    for name, raised in (("a", 1), ("b", 0), ("c", 2)):
+        img = np.full((512, 512, 3), 100, dtype=np.uint8)
+        img.reshape(-1)[:raised] = 101
+        write_ppm(tmp_path / f"{name}.ppm", img)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["pair", str(tmp_path)]) == 0
+    assert out.getvalue().splitlines() == ["under=b.ppm", "over=c.ppm"]
+
+
 # -------------------------------------------------------------------- train
 
 def make_scene(root, seed, hw=64):
@@ -349,6 +376,53 @@ def test_train_skips_a_fifo_exposure(tmp_path, fifo_call, capsys):
     assert err == f"warning: {fifo}: not a valid PPM (file: not a regular file), skipped\n"
 
 
+@needs_mkfifo
+def test_fifo_weights_fail_without_blocking(tmp_path, fifo_call, capsys):
+    good = tmp_path / "good.ppm"
+    write_ppm(good, rand_img(16, 16, 26))
+    fifo = tmp_path / "pipe.lfw"
+    os.mkfifo(fifo)
+    argv = MALFORMED_ARGS["weights"](str(fifo), str(good), "", str(tmp_path))
+    assert fifo_call(fifo, lambda: cli.main(argv)) == 3
+    assert capsys.readouterr().err == f"error: {fifo}: file: not a regular file\n"
+    assert not (tmp_path / "x.ppm").exists()
+
+
+@needs_mkfifo
+@pytest.mark.parametrize("which", ["weights", "curve"])
+def test_train_fifo_output_fails_without_blocking(which, tmp_path, fifo_call, capsys):
+    # opening a FIFO with no reader for writing fails at once (ENXIO): exit 2
+    make_scene(tmp_path / "data" / "scene1", seed=26)
+    out, curve = tmp_path / "w.lfw", tmp_path / "curve.csv"
+    fifo = out if which == "weights" else curve
+    os.mkfifo(fifo)
+    argv = ["train", str(tmp_path / "data"), str(out), "--steps", "0", "--curve", str(curve)]
+    assert fifo_call(fifo, lambda: cli.main(argv)) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert out.is_file() == (which == "curve")
+
+
+@pytest.mark.parametrize("command", ["analyze", "bench", "eval", "fuse", "pair", "train"])
+def test_every_command_keeps_its_freed_heap(command, tmp_path, weights_file):
+    # fuse and eval refault their stripe buffers without it, as train does
+    # its activations
+    for name, seed in (("a", 27), ("b", 28)):
+        write_ppm(tmp_path / f"{name}.ppm", rand_img(16, 16, seed))
+    make_scene(tmp_path / "data" / "scene1", seed=27)
+    argv = {
+        "analyze": ["analyze", "lightfuse"],
+        "bench": ["bench", "16x16"],
+        "eval": ["eval", str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")],
+        "fuse": ["fuse", str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm"), str(tmp_path / "x.ppm"),
+                 "--weights", str(weights_file)],
+        "pair": ["pair", str(tmp_path / "data" / "scene1")],
+        "train": ["train", str(tmp_path / "data"), str(tmp_path / "t.lfw"), "--steps", "0"],
+    }[command]
+    with mock.patch.object(cli, "_keep_freed_heap") as keep, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    keep.assert_called_once_with()
+
+
 @pytest.mark.parametrize("fault", ["symlink_loop", "long_name"])
 @pytest.mark.parametrize("command", ["eval", "fuse", "train"])
 def test_any_os_error_is_io_error(command, fault, tmp_path, weights_file, capsys):
@@ -459,7 +533,7 @@ def test_fuse_and_eval_memory_stays_flat_as_images_grow(tmp_path, weights_file):
         for path, seed in zip(names, (1, 2, 3)):
             write_ppm(Path(path), rand_img(h, w, seed))
         with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", stripe_rows * w), \
-                mock.patch.object(fusion, "FUSE_THREADS", 1):
+                mock.patch.object(tensor_core, "CPU_THREADS", 1):
             fuse = traced_peak(
                 ["fuse", *names[:2], names[3], "--weights", str(weights_file), "--tile-size", "8"]
             )
@@ -467,11 +541,10 @@ def test_fuse_and_eval_memory_stays_flat_as_images_grow(tmp_path, weights_file):
     fuse_growth, eval_growth = (b - a for a, b in zip(peaks[256], peaks[2048]))
     stripe_input = stripe_rows * w * 6 * 4  # a stripe's float32 (under, over) rows
     assert fuse_growth < stripe_input
-    # beyond its float64 map of valid windows, eval grows by less than one
-    # stripe's input too; the exact figure varies by a few KB from call to
-    # call (argparse, caches), which metrics-level tests avoid
-    ssim_map_growth = (2048 - 256) * (w - 10) * 8
-    assert eval_growth - ssim_map_growth < stripe_input
+    # eval keeps no SSIM map (774 KB between the heights) and grows by less
+    # than one stripe's input too; the exact figure varies by a few KB from
+    # call to call (argparse, caches), which metrics-level tests avoid
+    assert eval_growth < stripe_input
 
 
 FUSE_TESTS = (
@@ -492,6 +565,6 @@ FUSE_TESTS = (
 )
 def test_fuse_tests_pass_on_two_threads(test, request):
     args = {name: request.getfixturevalue(name) for name in inspect.signature(test).parameters}
-    with mock.patch.object(fusion, "FUSE_THREADS", 2):
+    with mock.patch.object(tensor_core, "CPU_THREADS", 2):
         test(**args)
 

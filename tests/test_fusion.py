@@ -111,7 +111,7 @@ def forward_with_detail_output(graph, weights, under, over):
 
 def threads(n):
     """Run the tiled executor on n threads, the calling thread included."""
-    return mock.patch.object(fusion, "FUSE_THREADS", n)
+    return mock.patch.object(tensor_core, "CPU_THREADS", n)
 
 
 @st.composite
@@ -421,16 +421,16 @@ def test_fuse_memory_grows_only_by_its_uint8_output_on_two_threads(weights):
 # ------------------------------------------------------------------ threads
 
 def test_fuse_threads_default_to_the_usable_cpus(monkeypatch):
-    assert fusion.FUSE_THREADS == fusion._usable_cpus() >= 1
+    assert tensor_core.CPU_THREADS == tensor_core._usable_cpus() >= 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert fusion._usable_cpus() == 1
+    assert tensor_core._usable_cpus() == 1
 
 
 def test_one_thread_starts_no_thread(weights):
     under = np.random.default_rng(30).integers(0, 256, size=(40, 48, 3), dtype=np.uint8)
     expected, _ = fusion.fuse_images(weights, under, under[::-1], 8)
-    with threads(1), mock.patch.object(fusion.threading, "Thread", side_effect=AssertionError):
+    with threads(1), mock.patch.object(threading, "Thread", side_effect=AssertionError):
         fused, _ = fusion.fuse_images(weights, under, under[::-1], 8)
     assert fused.tobytes() == expected.tobytes()
 

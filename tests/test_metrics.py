@@ -1,6 +1,11 @@
+import inspect
 import math
+import random
+import sys
 import tempfile
+import threading
 import tracemalloc
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightfuse import metrics
+from lightfuse import metrics, tensor_core
 from lightfuse.metrics import extract_patches, format_scores, psnr, select_extreme_pair, ssim
 from lightfuse.tensor_core import PpmReader, encode_ppm
 
@@ -264,6 +269,13 @@ _STRIPE_W = metrics.SSIM_STRIPE_PIXELS // _STRIPE
         (10 + 2 * _STRIPE, _STRIPE_W),  # whole stripes only
         (10 + 2 * _STRIPE + 1, _STRIPE_W),  # residual stripe of one row
         (14, metrics.SSIM_STRIPE_PIXELS // 2 + 1),  # one row per stripe
+        # the same four cases at the earlier 8192-pixel budget; at 12288 they
+        # are one 12-row stripe plus a residual of 3, 4 or 5 rows, and two
+        # 2-row stripes
+        (25, 1024),
+        (26, 1024),
+        (27, 1024),
+        (14, 4097),
     ],
 )
 def test_stripe_boundaries_at_the_module_budget_equal_oracles(h, w):
@@ -272,39 +284,215 @@ def test_stripe_boundaries_at_the_module_budget_equal_oracles(h, w):
         assert_matches_oracles(*image_pair(h, w, kind, h * w))
 
 
-def test_ssim_memory_is_bounded_by_its_output_map():
-    # one float64 SSIM map of the valid windows, plus stripe buffers that
-    # do not grow with image height
-    a, b = image_pair(512, 512, "random", 12)
-    oh = ow = 512 - 10
+def threads(n):
+    """Share ssim's stripes among n threads, the calling thread included."""
+    return mock.patch.object(tensor_core, "CPU_THREADS", n)
+
+
+def finishing_in_order(order_seed):
+    """A _share_work that hands out ssim's stripes in a shuffled order."""
+    share = tensor_core._share_work
+
+    def shuffled(units, *args):
+        units = list(units)
+        random.Random(order_seed).shuffle(units)
+        return share(units, *args)
+
+    return mock.patch.object(tensor_core, "_share_work", shuffled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.integers(11, 70),
+    w=st.integers(11, 70),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.just(metrics.SSIM_STRIPE_PIXELS), st.integers(1, 600)),
+    n_threads=st.integers(1, 4),
+    order_seed=st.integers(0, 2**16),
+)
+@example(h=70, w=70, seed=2, budget=1, n_threads=4, order_seed=0)
+def test_ssim_equals_the_whole_map_oracle_on_any_threads_and_order(h, w, seed, budget, n_threads, order_seed):
+    a, b = image_pair(h, w, "random", seed)
+    expected = oracle_ssim(a, b)
+    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget), threads(n_threads), \
+            finishing_in_order(order_seed):
+        assert ssim(a, b) == expected
+        with tempfile.TemporaryDirectory() as tmp:  # threads share one reader per input
+            paths = [Path(tmp) / name for name in ("a.ppm", "b.ppm")]
+            for path, img in zip(paths, (a, b)):
+                path.write_bytes(encode_ppm(img))
+            with PpmReader(paths[0]) as ra, PpmReader(paths[1]) as rb:
+                assert ssim(ra, rb) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    cuts=st.lists(st.integers(1, 4999), max_size=40),
+    order_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=129, cuts=list(range(1, 129)), order_seed=1, seed=0)  # a leaf in one-element parts
+def test_tree_sum_of_pieces_in_any_order_equals_numpy_reduce(n, cuts, order_seed, seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    pieces = list(zip(bounds[:-1], bounds[1:]))
+    random.Random(order_seed).shuffle(pieces)
+    tree = metrics._TreeSum(n)
+    for lo, hi in pieces:
+        tree.add(lo, flat[lo:hi].copy())
+    assert tree.total() == float(np.add.reduce(flat))
+    assert tree.total() / n == flat.mean()
+    assert tree._parts == {} and list(tree._sums) == [(0, n)]
+
+
+def test_ssim_on_more_threads_than_cpus_equals_the_oracle():
+    # 8 threads and a short switch interval interleave the stripes' tree
+    # sums as much as they can; a lost node sum or leaf part fails here
+    a, b = image_pair(300, 97, "random", 18)
+    expected = oracle_ssim(a, b)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", 97), threads(8):
+            for _ in range(3):
+                assert ssim(a, b) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_ssim_at_a_size_of_many_tree_levels_equals_the_whole_map_oracle():
+    a, b = image_pair(1011, 1017, "random", 14)
+    assert ssim(a, b) == oracle_ssim(a, b)
+
+
+class Boom(Exception):
+    pass
+
+
+def on_worker(record=None, boom=None):
+    """A _filter_rows that lets a worker thread make the first call.
+
+    The calling thread's first call waits until a worker has made one, so a
+    worker is sure to run a stripe. record(on_caller) runs on every call;
+    with `boom`, the worker's first call raises it. Returns (patcher, event
+    set after that call).
+    """
+    kernel = metrics._filter_rows
+    lock, calls, done = threading.Lock(), [0], threading.Event()
+
+    def patched(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if record is not None:
+            record(on_caller)
+        if on_caller:
+            assert done.wait(10), "no worker thread ran a stripe"
+            return kernel(*args)
+        with lock:
+            calls[0] += 1
+            first = calls[0] == 1
+        if first:
+            done.set()
+            if boom is not None:
+                raise boom
+        return kernel(*args)
+
+    return mock.patch.object(metrics, "_filter_rows", patched), done
+
+
+def test_ssim_worker_exception_surfaces_after_every_thread_is_joined():
+    a, b = image_pair(200, 64, "random", 15)
+    boom = Boom("worker failed")
+    before = threading.active_count()
+    patch, raised = on_worker(boom=boom)
+    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", 8 * 64), threads(2), patch, \
+            pytest.raises(Boom) as caught:
+        ssim(a, b)
+    assert raised.is_set()
+    assert caught.value is boom
+    assert threading.active_count() == before
+
+
+def test_ssim_workers_run_in_the_callers_errstate():
+    a, b = image_pair(200, 64, "random", 16)
+    seen = {}
+
+    def record(on_caller):
+        seen[on_caller] = np.geterr()["over"]
+
+    patch, worker_ran = on_worker(record)
+    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", 8 * 64), threads(2), patch, \
+            np.errstate(over="raise"):
+        assert ssim(a, b) == oracle_ssim(a, b)
+    assert worker_ran.is_set()
+    assert seen == {True: "raise", False: "raise"}
+
+
+def test_ssim_worker_threads_call_no_public_function():
+    a, b = image_pair(200, 64, "random", 17)
+    expected = ssim(a, b)
+
+    def main_thread_only(fn):
+        def wrapper(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), fn.__qualname__
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    patch, worker_ran = on_worker()
+    with ExitStack() as stack:
+        for module in (metrics, tensor_core):
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                    stack.enter_context(mock.patch.object(module, name, main_thread_only(obj)))
+        stack.enter_context(mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", 8 * 64))
+        stack.enter_context(threads(2))
+        stack.enter_context(patch)
+        assert ssim(a, b) == expected
+    assert worker_ran.is_set()
+
+
+def _ssim_peak(a, b):
+    ssim(a, b)  # the first call at a size keeps a little for good
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
         ssim(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 8 * oh * ow + int(2.5 * 2**20)
 
 
-def test_ssim_on_readers_grows_by_its_output_map_only(tmp_path):
-    # W=64: 128-row stripes, 2 per channel at H=256 and 16 at H=2048
-    w, beyond_map = 64, {}
-    for h in (256, 2048):
+# W=64: whole 192-row stripes, 4 at H=778 and 16 at H=3082, so every
+# thread works on stripes of one size at both heights. The (H-10) x (W-10)
+# float64 map of the seed would add 1.2 MB between them; what may grow is
+# the node sums _TreeSum holds, a few per tree level, and the peak moves by
+# a few KB with the threads' timing.
+_HEIGHTS = (10 + 4 * 192, 10 + 16 * 192)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_ssim_memory_does_not_grow_with_height(n_threads):
+    assert metrics.SSIM_STRIPE_PIXELS // 64 == 192
+    peaks = []
+    for h in _HEIGHTS:
+        with threads(n_threads):
+            peaks.append(_ssim_peak(*image_pair(h, 64, "random", h)))
+    assert abs(peaks[1] - peaks[0]) < 8192
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_ssim_on_readers_memory_does_not_grow_with_height(n_threads, tmp_path):
+    peaks = []
+    for h in _HEIGHTS:
         paths = [tmp_path / f"{name}{h}.ppm" for name in ("a", "b")]
-        for path, img in zip(paths, image_pair(h, w, "random", h)):
+        for path, img in zip(paths, image_pair(h, 64, "random", h)):
             path.write_bytes(encode_ppm(img))
-        with PpmReader(paths[0]) as ra, PpmReader(paths[1]) as rb:
-            ssim(ra, rb)  # the first call in a process allocates ~1.5 KB for good
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                ssim(ra, rb)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-        beyond_map[h] = peak - 8 * (h - 10) * (w - 10)
-    # a few loop integers at most, no rows
-    assert abs(beyond_map[2048] - beyond_map[256]) < 1024
+        with PpmReader(paths[0]) as ra, PpmReader(paths[1]) as rb, threads(n_threads):
+            peaks.append(_ssim_peak(ra, rb))
+    assert abs(peaks[1] - peaks[0]) < 8192
 
 
 @pytest.mark.parametrize("h, w", [(1021, 1027), (2048, 1536)])
