@@ -14,7 +14,9 @@ On the host, whole tiles that sit side by side in one tile row are run
 together: as many as fit in nn_ops.CHUNK_PIXELS pixels (at least one) are
 gathered channels-first into one buffer and carried through the chain in
 place. Grouping is a numpy batching device only; it changes neither the
-output bits nor the traffic model below.
+output bits nor the traffic model below. The output is channel-planar, as
+nn_ops stores activations, and fuse_images builds its stripes planar too,
+so gathering a group and writing it back copy whole rows of each channel.
 
 The groups are shared out among tensor_core.CPU_THREADS threads, one per
 CPU this process may use, by tensor_core._share_work, which metrics.ssim
@@ -161,7 +163,7 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
         for c0 in range(0, w, group_w)
     ]
     cap = min(s, h) * group_w
-    out = np.empty((h, w, chans[-1]), dtype=dtypes[-1])
+    out = np.empty((chans[-1], h, w), dtype=dtypes[-1])
 
     def run_group(group, acts, scratch):
         r0, r1, c0, c1 = group
@@ -172,7 +174,7 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
             prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
             nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
             np.maximum(t[i + 1], 0.0, out=t[i + 1])  # nn_ops.relu's ufunc
-        out[r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols).transpose(1, 2, 0)
+        out[:, r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols)
 
     buffers = [
         (
@@ -182,7 +184,7 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
         for _ in range(min(tensor_core.CPU_THREADS, len(groups)))
     ]
     tensor_core._share_work(groups, run_group, buffers, alongside)
-    return out, _fused_traffic(h, w, s)
+    return out.transpose(1, 2, 0), _fused_traffic(h, w, s)
 
 
 def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
@@ -284,13 +286,13 @@ def fuse_images(weights: dict, under, over, tile, out=None) -> tuple:
     hp, wp = h + (-h) % div, w + (-w) % div
 
     def rows_in(a, b):
-        x = np.empty((b - a, wp, _WIDTHS[0]), dtype=np.float32)
+        x = np.empty((_WIDTHS[0], b - a, wp), dtype=np.float32)
         real = min(b, h) - a
-        x[:real, :w, :3] = tensor_core.normalize(under[a : a + real])
-        x[:real, :w, 3:] = tensor_core.normalize(over[a : a + real])
-        x[:real, w:] = x[:real, w - 1 : w]
-        x[real:] = x[real - 1]
-        return x
+        x[:3, :real, :w] = tensor_core.normalize(under[a : a + real]).transpose(2, 0, 1)
+        x[3:, :real, :w] = tensor_core.normalize(over[a : a + real]).transpose(2, 0, 1)
+        x[:, :real, w:] = x[:, :real, w - 1 : w]
+        x[:, real:] = x[:, real - 1 : real]
+        return x.transpose(1, 2, 0)
 
     def rows_out(r0, r1, y):
         r1 = min(r1, h)

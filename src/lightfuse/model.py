@@ -229,9 +229,11 @@ def run_branch(layers, weights: dict, x: np.ndarray, tape=None) -> np.ndarray:
     for layer in layers:
         y = run_layer(layer, weights, x, tape)
         f = spatial_factor(layer)
-        eh, ew = x.shape[0] * f, x.shape[1] * f
-        if y.shape[:2] != (eh, ew):
-            raise RuntimeError(f"layer '{layer.name}': expected {eh}x{ew} output, got {y.shape[:2]}")
+        num, den = f.numerator, f.denominator  # compared in integers: this runs for every training sample
+        if y.shape[0] * den != x.shape[0] * num or y.shape[1] * den != x.shape[1] * num:
+            raise RuntimeError(
+                f"layer '{layer.name}': expected {x.shape[0] * f}x{x.shape[1] * f} output, got {y.shape[:2]}"
+            )
         x = y
     return x
 

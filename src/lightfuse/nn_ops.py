@@ -10,11 +10,32 @@ op_forward and op_backward pair them for one primitive - a DepthwiseKernel,
 a PointwiseKernel, or one of "relu", "tanh", "upsample_nn" - and run_ops and
 backward_ops walk an op tuple forward, keeping each op's input, and back.
 
-The 1x1 kernel works channels-first: pixels are transposed in blocks of
-CHUNK_PIXELS into (channels, pixels) buffers, so every step of the pinned
-order is one long contiguous multiply and add per output channel. Each
-element still sees bias, then + w[m] * x[m] for m ascending, rounded after
-every operation, so the layout does not change a single output bit.
+Layout. Activations and gradients are (H, W, C) arrays (any leading dims
+for the 1x1 kernel), and every kernel accepts them in any memory order.
+The forward kernels that allocate their result - depthwise_forward,
+pointwise_forward and upsample_nn - store it channel-planar: the memory of
+a (C, H, W) array, seen through .transpose(1, 2, 0). relu, tanh and add
+keep their input's order, so a walk runs planar from its first kernel on.
+On planar data each channel is one contiguous plane: the 1x1 kernel runs
+its pinned order straight from the input's planes into the output's, as
+one long multiply and add per output channel, and the depthwise taps,
+padding and upsampling read and write whole rows. Each element still sees
+bias, then + w * x in ascending order, rounded after every operation, so
+the layout changes no output bit.
+
+Some results do depend on memory order: numpy sums pairwise along
+contiguous memory and one by one across it, and a BLAS product's kernel
+depends on its operands' layout. Each of these runs on C-ordered (H, W, C)
+operands, copied where they are stored otherwise, so its bits are the same
+whatever order its inputs come in:
+  * pointwise_backward: dweights = x2.T @ g2, dbias = g2.sum(axis=0) and
+    dx = g2 @ weights.T, on (pixels, channels) rows x2 and g2;
+  * depthwise_backward: dweights, from an (H, W, C) zero-padded input and
+    the gradient, and dbias;
+  * upsample_backward's 2x2 block sum.
+The backward kernels therefore return their gradients C-ordered, the order
+the next backward reduction reads; relu_backward and tanh_backward do too.
+training pins its loss sums the same way (training._diff).
 """
 
 from dataclasses import dataclass, replace
@@ -114,33 +135,46 @@ def pointwise_channels_first(x, kern: PointwiseKernel, out, scratch):
     return out
 
 
+def _planar(a: np.ndarray) -> np.ndarray:
+    """A (C, ...) array seen as (..., C): the layout of every forward kernel result."""
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))  # np.moveaxis(a, 0, -1); its checks cost more
+
+
 def pointwise_forward(x: np.ndarray, kern: PointwiseKernel) -> np.ndarray:
     """out[..., n] = bias[n] + sum_m w[m, n] * x[..., m], any leading dims.
 
-    Computed in result_type(x, weights), channels-first in blocks of
-    CHUNK_PIXELS pixels through buffers allocated once per call.
+    Computed in result_type(x, weights) by pointwise_channels_first, in
+    blocks of CHUNK_PIXELS pixels, straight from x's planes when x is
+    planar; any other x is gathered a block at a time. One block is
+    computed in place in the result's planes; with more, each is computed
+    in a contiguous buffer and copied into them, as rows a power of two
+    apart in memory slowed the adds by a quarter (65536 pixels, 32 -> 32).
     """
     m, n = kern.in_channels, kern.out_channels
     if x.shape[-1] != m:
         raise ValueError(
             f"channel mismatch: input has {x.shape[-1]}, kernel expects {m}"
         )
-    x2 = x.reshape(-1, m)
-    npix = x2.shape[0]
+    xt = x.reshape(-1, m).T  # (m, P): contiguous when x is planar
+    npix = xt.shape[1]
     dtype = np.result_type(x.dtype, kern.weights.dtype)
-    out2 = np.empty((npix, n), dtype=dtype)
+    out = np.empty((n, npix), dtype=dtype)
     chunk = min(CHUNK_PIXELS, npix)
-    x_buf = np.empty(m * chunk, dtype=x.dtype)
-    out_buf = np.empty(n * chunk, dtype=dtype)
     scratch = np.empty(n * chunk, dtype=dtype)
+    x_buf = None if xt.flags.c_contiguous else np.empty(m * chunk, dtype=x.dtype)
+    out_buf = None if chunk == npix else np.empty(n * chunk, dtype=dtype)
     for p0 in range(0, npix, chunk):
         p1 = min(p0 + chunk, npix)
         c = p1 - p0
-        xc = x_buf[: m * c].reshape(m, c)
-        xc[...] = x2[p0:p1].T
-        oc = pointwise_channels_first(xc, kern, out_buf[: n * c].reshape(n, c), scratch[: n * c].reshape(n, c))
-        out2[p0:p1] = oc.T
-    return out2.reshape(x.shape[:-1] + (n,))
+        xc = xt[:, p0:p1]
+        if x_buf is not None:
+            xc = x_buf[: m * c].reshape(m, c)
+            xc[...] = xt[:, p0:p1]
+        oc = out[:, p0:p1] if out_buf is None else out_buf[: n * c].reshape(n, c)
+        pointwise_channels_first(xc, kern, oc, scratch[: n * c].reshape(n, c))
+        if out_buf is not None:
+            out[:, p0:p1] = oc
+    return _planar(out.reshape((n,) + x.shape[:-1]))
 
 
 def depthwise_forward(x: np.ndarray, kern: DepthwiseKernel) -> np.ndarray:
@@ -161,18 +195,22 @@ def depthwise_forward(x: np.ndarray, kern: DepthwiseKernel) -> np.ndarray:
     k = kern.k
     p = (k - 1) // 2
     oh, ow = h // s, w // s
-    xp = np.pad(x, ((p, p), (p, p), (0, 0)))
-    out = np.empty((oh, ow, kern.channels), dtype=np.result_type(x.dtype, kern.weights.dtype))
-    out[:] = kern.bias if kern.bias is not None else 0.0
+    xp = np.zeros((kern.channels, h + 2 * p, w + 2 * p), dtype=x.dtype)  # planes in a zero border
+    xp[:, p : p + h, p : p + w] = x.transpose(2, 0, 1)
+    out = np.empty((kern.channels, oh, ow), dtype=np.result_type(x.dtype, kern.weights.dtype))
+    out[...] = 0.0 if kern.bias is None else kern.bias[:, np.newaxis, np.newaxis]
+    prod = np.empty_like(out)
     for u in range(k):
         for v in range(k):
-            out += kern.weights[u, v] * xp[u : u + s * oh : s, v : v + s * ow : s]
-    return out
+            window = xp[:, u : u + s * oh : s, v : v + s * ow : s]
+            np.multiply(window, kern.weights[u, v, :, np.newaxis, np.newaxis], out=prod)
+            out += prod
+    return _planar(out)
 
 
 def upsample_nn(x: np.ndarray) -> np.ndarray:
     """Nearest-neighbor x2 upsampling: out[i, j] = x[i // 2, j // 2]."""
-    return np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)
+    return _planar(np.repeat(np.repeat(x.transpose(2, 0, 1), 2, axis=1), 2, axis=2))
 
 
 def relu(x: np.ndarray, out=None) -> np.ndarray:
@@ -194,13 +232,18 @@ def add(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
 def pointwise_backward(x, kern: PointwiseKernel, grad):
     """Gradients of pointwise_forward: returns (dx, dweights, dbias)."""
+    return _pointwise_grads(x, kern, grad, True)
+
+
+def _pointwise_grads(x, kern: PointwiseKernel, grad, need_dx: bool):
+    """pointwise_backward, with dx None unless need_dx."""
     if grad.shape != x.shape[:-1] + (kern.out_channels,):
         raise ValueError("upstream gradient shape mismatch")
-    x2 = x.reshape(-1, kern.in_channels)
-    g2 = grad.reshape(-1, kern.out_channels)
+    x2 = np.ascontiguousarray(x.reshape(-1, kern.in_channels))
+    g2 = np.ascontiguousarray(grad.reshape(-1, kern.out_channels))
     dw = x2.T @ g2
     db = g2.sum(axis=0)
-    dx = (g2 @ kern.weights.T).reshape(x.shape)
+    dx = (g2 @ kern.weights.T).reshape(x.shape) if need_dx else None
     return dx, dw, db
 
 
@@ -209,6 +252,11 @@ def depthwise_backward(x, kern: DepthwiseKernel, grad):
 
     dbias is None for bias-free kernels.
     """
+    return _depthwise_grads(x, kern, grad, True)
+
+
+def _depthwise_grads(x, kern: DepthwiseKernel, grad, need_dx: bool):
+    """depthwise_backward, with dx None unless need_dx."""
     h, w = x.shape[:2]
     s = kern.stride
     k = kern.k
@@ -216,15 +264,18 @@ def depthwise_backward(x, kern: DepthwiseKernel, grad):
     oh, ow = h // s, w // s
     if grad.shape != (oh, ow, kern.channels):
         raise ValueError("upstream gradient shape mismatch")
-    xp = np.pad(x, ((p, p), (p, p), (0, 0)))
-    dxp = np.zeros_like(xp)
+    xp = np.zeros((h + 2 * p, w + 2 * p, kern.channels), dtype=x.dtype)
+    xp[p : p + h, p : p + w] = x
+    grad = np.ascontiguousarray(grad)
+    dxp = np.zeros_like(xp) if need_dx else None
     dw = np.empty_like(kern.weights)
     for u in range(k):
         for v in range(k):
             window = xp[u : u + s * oh : s, v : v + s * ow : s]
             dw[u, v] = (window * grad).sum(axis=(0, 1))
-            dxp[u : u + s * oh : s, v : v + s * ow : s] += kern.weights[u, v] * grad
-    dx = dxp[p : p + h, p : p + w].copy()
+            if need_dx:
+                dxp[u : u + s * oh : s, v : v + s * ow : s] += kern.weights[u, v] * grad
+    dx = dxp[p : p + h, p : p + w].copy() if need_dx else None
     db = grad.sum(axis=(0, 1)) if kern.bias is not None else None
     return dx, dw, db
 
@@ -234,16 +285,16 @@ def upsample_backward(grad):
     h2, w2, c = grad.shape
     if h2 % 2 or w2 % 2:
         raise ValueError("upsample gradient must have even spatial dims")
-    return grad.reshape(h2 // 2, 2, w2 // 2, 2, c).sum(axis=(1, 3))
+    return np.ascontiguousarray(grad).reshape(h2 // 2, 2, w2 // 2, 2, c).sum(axis=(1, 3))
 
 
 def relu_backward(x, grad):
-    return grad * (x > 0)
+    return np.multiply(grad, np.greater(x, 0, order="C"), order="C")
 
 
 def tanh_backward(x, grad):
     t = np.tanh(x)
-    return grad * (1.0 - t * t)
+    return np.multiply(grad, 1.0 - t * t, order="C")
 
 
 def op_forward(op, x: np.ndarray) -> np.ndarray:
@@ -266,17 +317,20 @@ def op_forward(op, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown op {op!r}")
 
 
-def op_backward(op, x: np.ndarray, grad: np.ndarray) -> tuple:
+def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True) -> tuple:
     """Backward of op_forward(op, x): (dx, parameter gradients).
 
     The parameter gradients are (dweights, dbias), or (dweights,) for a
-    bias-free depthwise kernel, and () for the parameter-free ops.
+    bias-free depthwise kernel, and () for the parameter-free ops. With
+    need_dx False a kernel's dx is not computed and comes back None; that
+    path calls the kernel's private step, where per-function traces charge
+    its time to the caller.
     """
     if isinstance(op, DepthwiseKernel):
-        dx, dw, db = depthwise_backward(x, op, grad)
+        dx, dw, db = depthwise_backward(x, op, grad) if need_dx else _depthwise_grads(x, op, grad, False)
         return dx, (dw,) if op.bias is None else (dw, db)
     if isinstance(op, PointwiseKernel):
-        dx, dw, db = pointwise_backward(x, op, grad)
+        dx, dw, db = pointwise_backward(x, op, grad) if need_dx else _pointwise_grads(x, op, grad, False)
         return dx, (dw, db)
     if op == "relu":
         return relu_backward(x, grad), ()
@@ -295,11 +349,14 @@ def run_ops(ops, x: np.ndarray, inputs: list) -> np.ndarray:
     return x
 
 
-def backward_ops(ops, inputs, grad: np.ndarray) -> tuple:
-    """Backward of run_ops(ops, x, inputs): (dx, parameter gradients in op order)."""
+def backward_ops(ops, inputs, grad: np.ndarray, need_dx: bool = True) -> tuple:
+    """Backward of run_ops(ops, x, inputs): (dx, parameter gradients in op order).
+
+    With need_dx False the first op's kernel skips its dx, which may then be None.
+    """
     pgrads = []
-    for op, x in zip(reversed(ops), reversed(inputs)):
-        grad, op_grads = op_backward(op, x, grad)
+    for i in reversed(range(len(ops))):
+        grad, op_grads = op_backward(ops[i], inputs[i], grad, need_dx or i > 0)
         pgrads[:0] = op_grads
     return grad, tuple(pgrads)
 
@@ -336,7 +393,8 @@ def grad_check(op, x: np.ndarray, seed: int = 0, eps: float = 1e-3) -> float:
     upstream = rng.standard_normal(out.shape).astype(np.float32)
     dx, dparams = bwd(x, upstream)
 
-    arrays = [x.astype(np.float64)] + [p.astype(np.float64) for p in params]
+    # C-ordered, so each flat view below perturbs the array it came from
+    arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (x,) + params]
     grads = [dx] + list(dparams)
     r64 = upstream.astype(np.float64)
 

@@ -12,6 +12,7 @@ _share_work runs a call's work units on CPU_THREADS threads.
 
 import contextlib
 import contextvars
+import errno
 import os
 import stat
 import tempfile
@@ -259,14 +260,25 @@ def encode_ppm(img: np.ndarray) -> bytes:
     return b"".join((_ppm_header(img.shape), np.ascontiguousarray(img).data))
 
 
+class _NotRegularFile(OSError):
+    """An output path that exists but is not a regular file."""
+
+    def __str__(self):
+        return f"{self.filename}: {self.strerror}"
+
+
 class PpmWriter:
     """A binary P6 PPM file written row by row, in order.
 
     writer[r0:r1] = rows appends uint8 rows [r0, r1); the first write
-    creates a temporary file beside `path` and writes the header. Leaving
-    the context after the last row renames that file to `path`, so the
-    output appears whole or not at all; leaving it any other way deletes
-    the temporary file. An error creating or renaming the file names `path`.
+    creates a temporary file beside the file `path` names, following
+    symlinks, and writes the header. Leaving the context after the last row
+    renames that file onto the named one, so the output appears whole or
+    not at all and a symlink at `path` keeps pointing at it; leaving it any
+    other way deletes the temporary file. An existing file keeps its mode,
+    a new one gets the mode open() would give it. An existing path that is
+    not a regular file - a directory, FIFO or device - is refused before
+    anything is created. Every error names `path`.
     """
 
     dtype = np.dtype(np.uint8)
@@ -282,16 +294,29 @@ class PpmWriter:
         if a != self._next or img.shape != (b - a,) + self.shape[1:] or img.dtype != np.uint8:
             raise ValueError(f"expected uint8 rows from {self._next} of a {self.shape} image")
         if self._file is None:
-            head, tail = os.path.split(self.path)
-            with self._naming_path():
-                fd, self._tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head or ".")
-            self._file = os.fdopen(fd, "wb")
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode a new file at path gets
-            self._file.write(_ppm_header(self.shape))
+            self._open()
         self._file.write(np.ascontiguousarray(img).data)
         self._next = b
+
+    def _open(self) -> None:
+        """Check the named file, create the temporary one and write the header."""
+        with self._naming_path():
+            self._target = os.path.realpath(self.path)
+            try:
+                status = os.stat(self._target)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask  # the mode a new file at path gets
+            else:
+                if not stat.S_ISREG(status.st_mode):
+                    raise _NotRegularFile(errno.EINVAL, "not a regular file", self.path)
+                mode = stat.S_IMODE(status.st_mode)
+            head, tail = os.path.split(self._target)
+            fd, self._tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
+        self._file = os.fdopen(fd, "wb")
+        os.fchmod(fd, mode)
+        self._file.write(_ppm_header(self.shape))
 
     def __enter__(self):
         return self
@@ -304,7 +329,7 @@ class PpmWriter:
                 self._file.close()
                 if complete:
                     with self._naming_path():
-                        os.replace(self._tmp, self.path)
+                        os.replace(self._tmp, self._target)
                     replaced = True
             finally:
                 if not replaced:

@@ -33,11 +33,21 @@ class LossReport:
     l_total: float
 
 
+def _diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b as a C-ordered array.
+
+    The losses sum it over all elements, and a sum's bits depend on the
+    memory order it runs in; the C order keeps them those of (H, W, C)
+    arrays, whichever layout nn_ops stored a feature map in.
+    """
+    return np.subtract(a, b, order="C")
+
+
 def loss_mse(out: np.ndarray, label: np.ndarray) -> float:
     """Mean squared difference over all elements."""
     if out.shape != label.shape:
         raise ValueError(f"shape mismatch: {out.shape} vs {label.shape}")
-    d = out - label
+    d = _diff(out, label)
     return float(np.mean(d * d, dtype=np.float64))
 
 
@@ -47,7 +57,7 @@ def loss_perceptual(out: np.ndarray, label: np.ndarray, extractor) -> float:
         raise ValueError(f"shape mismatch: {out.shape} vs {label.shape}")
     total = 0.0
     for fo, fl in zip(extractor.features(out), extractor.features(label)):
-        total += float(np.abs(fo - fl).sum(dtype=np.float64))
+        total += float(np.abs(_diff(fo, fl)).sum(dtype=np.float64))
     return total
 
 
@@ -74,7 +84,7 @@ class _StageExtractor:
     def loss_and_grad(self, out, label):
         """(loss_perceptual(out, label, self), its gradient with respect to out)."""
         feats, tapes = self._walk(out)
-        diffs = [fo - fl for fo, fl in zip(feats, self.features(label))]
+        diffs = [_diff(fo, fl) for fo, fl in zip(feats, self.features(label))]
         loss = 0.0
         for d in diffs:
             loss += float(np.abs(d).sum(dtype=np.float64))
@@ -159,8 +169,10 @@ def _backward(graph, tapes, merge_pre, out_grad):
     else:
         branch_grads = [out_grad]
     for tape, g in zip(tapes, branch_grads):
-        for layer, ops, inputs in reversed(tape):
-            g, pgrads = nn_ops.backward_ops(ops, inputs, g)  # in param_entries order
+        for i in reversed(range(len(tape))):
+            layer, ops, inputs = tape[i]
+            # the network input needs no gradient: a branch's first kernel skips its dx
+            g, pgrads = nn_ops.backward_ops(ops, inputs, g, need_dx=i > 0)  # in param_entries order
             grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))
     return grads
 

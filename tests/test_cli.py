@@ -4,6 +4,7 @@ import io
 import os
 import platform
 import resource
+import stat
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -512,6 +513,62 @@ def test_fuse_may_overwrite_its_input(tmp_path, weights_file):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.ppm", "o.ppm", "u.ppm", "w.lfw"]
 
 
+def fuse_to(out, tmp_path, weights_file):
+    """cli.main's exit code for fusing a fixed 16x16 pair into `out`, and the fused bytes it should write."""
+    write_ppm(tmp_path / "u.ppm", rand_img(16, 16, 15))
+    write_ppm(tmp_path / "o.ppm", rand_img(16, 16, 16))
+    argv = ["fuse", str(tmp_path / "u.ppm"), str(tmp_path / "o.ppm")]
+    assert cli.main([*argv, str(tmp_path / "want.ppm"), "--weights", str(weights_file)]) == 0
+    want = (tmp_path / "want.ppm").read_bytes()
+    (tmp_path / "want.ppm").unlink()
+    return cli.main([*argv, str(out), "--weights", str(weights_file)]), want
+
+
+def test_fuse_writes_through_a_symlinked_output(tmp_path, weights_file):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "img.ppm"
+    target.write_bytes(b"old")
+    os.chmod(target, 0o640)
+    link = tmp_path / "link.ppm"
+    link.symlink_to(Path("real") / "img.ppm")
+    code, want = fuse_to(link, tmp_path, weights_file)
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(Path("real") / "img.ppm")
+    assert target.read_bytes() == want
+    assert target.stat().st_mode & 0o7777 == 0o640  # the existing file's mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ppm", "o.ppm", "real", "u.ppm", "w.lfw"]
+    assert os.listdir(tmp_path / "real") == ["img.ppm"]
+
+
+def test_fuse_keeps_an_existing_outputs_mode(tmp_path, weights_file):
+    out = tmp_path / "x.ppm"
+    out.write_bytes(b"old")
+    os.chmod(out, 0o604)
+    code, want = fuse_to(out, tmp_path, weights_file)
+    assert code == 0 and out.read_bytes() == want
+    assert out.stat().st_mode & 0o7777 == 0o604
+
+
+@needs_mkfifo
+@pytest.mark.parametrize("kind", ["fifo", "directory", "symlink_to_fifo"])
+def test_fuse_refuses_an_output_that_is_not_a_regular_file(kind, tmp_path, weights_file, capsys):
+    out = tmp_path / "x.ppm"
+    if kind == "directory":
+        out.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(out)
+    else:
+        os.mkfifo(tmp_path / "pipe")
+        out.symlink_to("pipe")
+    before = sorted(os.listdir(tmp_path))
+    code, _ = fuse_to(out, tmp_path, weights_file)
+    assert code == 2
+    assert capsys.readouterr().err == f"i/o error: {out}: not a regular file\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ["u.ppm", "o.ppm"])
+    assert out.is_dir() if kind == "directory" else stat.S_ISFIFO(os.stat(out).st_mode)
+    assert out.is_symlink() == (kind == "symlink_to_fifo")
+
+
 def traced_peak(argv):
     """Peak bytes that one cli.main(argv) call allocates beyond what it started with."""
     tracemalloc.start()
@@ -532,12 +589,15 @@ def test_fuse_and_eval_memory_stays_flat_as_images_grow(tmp_path, weights_file):
         names = [str(tmp_path / f"{name}{h}.ppm") for name in ("u", "o", "label", "fused")]
         for path, seed in zip(names, (1, 2, 3)):
             write_ppm(Path(path), rand_img(h, w, seed))
+        # one thread for eval too: on two, which thread holds which stripe's
+        # buffers at the peak moved eval's traced peak by about 70 KB from
+        # call to call; ssim's own tests cover two threads
         with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", stripe_rows * w), \
                 mock.patch.object(tensor_core, "CPU_THREADS", 1):
             fuse = traced_peak(
                 ["fuse", *names[:2], names[3], "--weights", str(weights_file), "--tile-size", "8"]
             )
-        peaks[h] = fuse, traced_peak(["eval", names[3], names[2]])
+            peaks[h] = fuse, traced_peak(["eval", names[3], names[2]])
     fuse_growth, eval_growth = (b - a for a, b in zip(peaks[256], peaks[2048]))
     stripe_input = stripe_rows * w * 6 * 4  # a stripe's float32 (under, over) rows
     assert fuse_growth < stripe_input

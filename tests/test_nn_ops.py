@@ -1,5 +1,10 @@
+import itertools
+
+import hwc_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightfuse import nn_ops
 from lightfuse.nn_ops import (
@@ -14,6 +19,8 @@ from lightfuse.nn_ops import (
     relu,
     relu_backward,
     tanh,
+    tanh_backward,
+    upsample_backward,
     upsample_nn,
 )
 
@@ -139,16 +146,6 @@ def test_pointwise_is_per_pixel_local():
     assert not np.array_equal(out2[2, 3], base[2, 3])
 
 
-def pixel_major_pointwise(x, kern):
-    """The original pixel-major loop, kept as the byte-for-byte oracle."""
-    x2 = x.reshape(-1, kern.in_channels)
-    out = np.empty((x2.shape[0], kern.out_channels), dtype=np.result_type(x2.dtype, kern.weights.dtype))
-    out[:] = kern.bias
-    for m in range(kern.in_channels):
-        out += x2[:, m, np.newaxis] * kern.weights[m]
-    return out.reshape(x.shape[:-1] + (kern.out_channels,))
-
-
 @pytest.mark.parametrize("npix_offset", (-1, 0, 1))
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
 def test_pointwise_matches_pixel_major_oracle(npix_offset, dtype):
@@ -156,7 +153,7 @@ def test_pointwise_matches_pixel_major_oracle(npix_offset, dtype):
     kern = PointwiseKernel(rand((6, 32), seed=40), rand((32,), seed=41))
     x = np.random.default_rng(42).standard_normal((npix, 6)).astype(dtype)
     got = pointwise_forward(x, kern)
-    want = pixel_major_pointwise(x, kern)
+    want = hwc_reference.pointwise_forward(x, kern)
     assert got.dtype == want.dtype == np.result_type(dtype, np.float32)
     assert got.tobytes() == want.tobytes()
 
@@ -167,7 +164,7 @@ def test_pointwise_matches_pixel_major_oracle_leading_dims():
     x = rand((3, 41, 67, 32), seed=45)
     got = pointwise_forward(x, kern)
     assert got.shape == (3, 41, 67, 3)
-    assert got.tobytes() == pixel_major_pointwise(x, kern).tobytes()
+    assert got.tobytes() == hwc_reference.pointwise_forward(x, kern).tobytes()
 
 
 # ---------------------------------------------------------------- elementwise
@@ -289,3 +286,84 @@ def test_grad_check_parameterless_ops():
 def test_grad_check_rejects_unknown_op():
     with pytest.raises(ValueError, match="grad_check does not know op 'nope'"):
         grad_check("nope", rand((2, 2, 1), seed=34))
+
+
+# ------------------------------------------------------------------ layout
+
+def planar(a):
+    """a's values stored channel-planar, the memory order of every forward kernel result."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def same_results(got, want):
+    got, want = (r if isinstance(r, tuple) else (r,) for r in (got, want))
+    return len(got) == len(want) and all(
+        (g is None and w is None)
+        or (g is not None and w is not None and g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes())
+        for g, w in zip(got, want)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 10),
+    cols=st.integers(1, 10),
+    c_in=st.integers(1, 8),
+    c_out=st.integers(1, 8),
+    stride=st.sampled_from([1, 2]),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_kernel_matches_the_hwc_reference_in_either_layout(rows, cols, c_in, c_out, stride, bias, seed):
+    """Each public kernel gives the reference's bytes for C-ordered and planar operands alike."""
+    rng = np.random.default_rng(seed)
+    h, w = stride * rows, stride * cols
+
+    def draw(*shape):
+        a = rng.uniform(-1, 1, shape).astype(np.float32)
+        # exact and negative zeros: relu masks and the sign of zero sums
+        a[rng.random(shape) < 0.15] = 0.0
+        a[rng.random(shape) < 0.15] = -0.0
+        return a
+
+    x = draw(h, w, c_in)
+    dk = DepthwiseKernel(draw(3, 3, c_in), draw(c_in) if bias else None, stride)
+    pk = PointwiseKernel(draw(c_in, c_out), draw(c_out))
+    cases = [
+        (depthwise_forward, hwc_reference.depthwise_forward, (x, dk)),
+        (pointwise_forward, hwc_reference.pointwise_forward, (x, pk)),
+        (upsample_nn, hwc_reference.upsample_nn, (x,)),
+        (relu, lambda a: np.maximum(a, 0.0), (x,)),
+        (tanh, np.tanh, (x,)),
+        (add, np.add, (x, draw(h, w, c_in))),
+        (depthwise_backward, hwc_reference.depthwise_backward, (x, dk, draw(rows, cols, c_in))),
+        (pointwise_backward, hwc_reference.pointwise_backward, (x, pk, draw(h, w, c_out))),
+        (upsample_backward, hwc_reference.upsample_backward, (draw(2 * h, 2 * w, c_in),)),
+        (relu_backward, hwc_reference.relu_backward, (x, draw(h, w, c_in))),
+        (tanh_backward, hwc_reference.tanh_backward, (x, draw(h, w, c_in))),
+    ]
+    for kernel, reference, args in cases:
+        want = reference(*args)
+        arrays = [i for i, a in enumerate(args) if isinstance(a, np.ndarray)]
+        for layouts in itertools.product((False, True), repeat=len(arrays)):
+            call = list(args)
+            for i, to_planar in zip(arrays, layouts):
+                if to_planar:
+                    call[i] = planar(call[i])
+            assert same_results(kernel(*call), want), (kernel.__name__, layouts)
+
+
+@pytest.mark.parametrize("first", ["depthwise", "pointwise", "relu"])
+def test_backward_ops_can_skip_the_first_kernels_input_gradient(first):
+    x, g = rand((6, 6, 3), seed=50), rand((6, 6, 4), seed=51)
+    ops = {
+        "depthwise": (DepthwiseKernel(rand((3, 3, 3), seed=52), rand((3,), seed=53), 1),),
+        "pointwise": (),
+        "relu": ("relu",),
+    }[first] + (PointwiseKernel(rand((3, 4), seed=54), rand((4,), seed=55)), "relu")
+    inputs = []
+    nn_ops.run_ops(ops, x, inputs)
+    dx, pgrads = nn_ops.backward_ops(ops, inputs, g)
+    skipped, same = nn_ops.backward_ops(ops, inputs, g, need_dx=False)
+    assert skipped is None if first != "relu" else skipped.tobytes() == dx.tobytes()
+    assert [a.tobytes() for a in same] == [a.tobytes() for a in pgrads]

@@ -25,3 +25,27 @@ def test_digests_print_every_call_of_train_toy(capsys):
         f"train_toy seed=1 scene{i:02d} pair rc=0" for i in range(3)
     ]
     assert all(re.search(r"stdout=under=ev_lo\.ppm \| over=ev_hi\.ppm$", line) for line in lines[1:])
+
+
+def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
+    from lightfuse import model
+
+    digests = load_digests()
+    assert digests.main(["--workload", "library", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sha = "[0-9a-f]{64}"
+    want = []
+    for graph in (model.build_lightfuse(), model.build_tcnn()):
+        want.append(f"library seed=3 {graph.name} forward out=({sha})")
+        grads = " ".join(f"{re.escape(key)}={sha}" for key, _, _ in model.graph_param_entries(graph))
+        for extractor in ("none", "identity", "random_conv"):
+            want.append(
+                f"library seed=3 {graph.name} loss_and_grads extractor={extractor} out=({sha}) {grads}"
+                r" report=LossReport\(l_mse=.+, l_perceptual=.+, l_total=.+\)"
+            )
+    assert len(lines) == len(want)
+    matches = [re.fullmatch(pattern, line) for pattern, line in zip(want, lines)]
+    assert all(matches)
+    # loss_and_grads returns the same output that forward computes
+    assert len({m.group(1) for m in matches[:4]}) == 1 and len({m.group(1) for m in matches[4:]}) == 1
+    assert " l_perceptual=0.0," in lines[1] and " l_perceptual=0.0," not in lines[2]

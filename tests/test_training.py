@@ -2,6 +2,7 @@ import dataclasses
 import math
 from unittest import mock
 
+import hwc_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +368,40 @@ def test_training_forward_is_run_branch(name, rows, cols, seed):
             area_in, area_out = x_in.shape[0] * x_in.shape[1], y_out.shape[0] * y_out.shape[1]
             assert area_out == area_in * model.spatial_factor(layer) ** 2
         assert y.tobytes() == model.run_branch(layers, weights, x).tobytes()
+
+
+EXTRACTORS = {
+    "none": lambda seed: None,
+    "identity": lambda seed: IdentityExtractor(),
+    "random_conv": RandomConvExtractor,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(WALK_GRAPHS)),
+    extractor=st.sampled_from(sorted(EXTRACTORS)),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_grads_equals_the_hwc_reference(name, extractor, rows, cols, seed):
+    """Output, losses and every gradient are the (H, W, C) reference walk's, byte for byte."""
+    graph = WALK_GRAPHS[name]
+    rng = np.random.default_rng(seed)
+    weights = init_weights(graph, seed)
+    for key in weights:
+        if key.endswith(".bias"):
+            weights[key] = rng.uniform(-0.5, 0.5, size=weights[key].shape).astype(np.float32)
+    u, o, label = (rng.uniform(-1, 1, (8 * rows, 8 * cols, 3)).astype(np.float32) for _ in range(3))
+    ext = EXTRACTORS[extractor](seed % 2**16)
+
+    out, report, grads = loss_and_grads(graph, weights, u, o, label, ext)
+    want_out, want_report, want_grads = hwc_reference.loss_and_grads(graph, weights, u, o, label, ext)
+    assert same_bytes(out, want_out)
+    assert report == want_report
+    assert grads.keys() == want_grads.keys() == {key for key, _, _ in model.graph_param_entries(graph)}
+    assert all(same_bytes(grads[key], want_grads[key]) for key in grads)
 
 
 @pytest.mark.parametrize("branches", [slice(0, 1), slice(0, 3)])
