@@ -33,9 +33,21 @@ whatever order its inputs come in:
   * depthwise_backward: dweights, from an (H, W, C) zero-padded input and
     the gradient, and dbias;
   * upsample_backward's 2x2 block sum.
+depthwise_backward and upsample_backward spell out numpy's own order of
+those sums where it is one by one (more than one channel), which lets them
+sum every tap at once and add the four pixels of a block elementwise.
 The backward kernels therefore return their gradients C-ordered, the order
 the next backward reduction reads; relu_backward and tanh_backward do too.
-training pins its loss sums the same way (training._diff).
+training pins its loss sums the same way (training._diff), and its
+backward walk hands the kernels C-ordered copies of the activations they
+read, one per activation (training._backward).
+
+op_backward runs the convolutions' backward through their private steps
+(_depthwise_grads, _pointwise_grads), which can skip dx: the first kernel
+of a branch needs none, as the network input takes no gradient. The public
+depthwise_backward and pointwise_backward wrap the same steps, so per-
+function traces of a training walk charge the convolutions' backward time
+to the walk's caller, training.loss_and_grads.
 """
 
 from dataclasses import dataclass, replace
@@ -115,6 +127,12 @@ class PointwiseKernel:
 # add. On a 1024x1032 detail branch (2-vCPU x86 host) 4096 took 0.65 s
 # unfused, against 1.31 s at 2048 and 0.72 s at 8192.
 CHUNK_PIXELS = 4096
+
+# Largest (pixels, taps, channels) product block depthwise_backward sums in
+# one pass for its weight gradient; beyond it, tap by tap. On 64x64 inputs
+# (2-vCPU x86 host, float32) one pass took 0.66-0.97x the tap-by-tap time
+# for blocks of up to 442k elements and 1.02-1.43x for 590k-1.2M.
+TAP_SUM_ELEMS = 1 << 19
 
 
 def pointwise_channels_first(x, kern: PointwiseKernel, out, scratch):
@@ -269,12 +287,25 @@ def _depthwise_grads(x, kern: DepthwiseKernel, grad, need_dx: bool):
     grad = np.ascontiguousarray(grad)
     dxp = np.zeros_like(xp) if need_dx else None
     dw = np.empty_like(kern.weights)
+    # dw[u, v] is numpy's sum over the pixels of tap (u, v)'s C-ordered
+    # (oh, ow, C) products. With C > 1 the channels are numpy's inner loop,
+    # so it adds pixel after pixel from +0, and one sum over every tap's
+    # products at once (an inner loop of k*k*C) adds in that same order. With
+    # one channel numpy sums each row pairwise instead, and a large product
+    # block outgrows the cache, so then each tap is summed on its own.
+    together = kern.channels > 1 and oh * ow * k * k * kern.channels <= TAP_SUM_ELEMS
+    prods = np.empty((oh, ow, k, k, kern.channels), dtype=np.result_type(x.dtype, grad.dtype)) if together else None
     for u in range(k):
         for v in range(k):
             window = xp[u : u + s * oh : s, v : v + s * ow : s]
-            dw[u, v] = (window * grad).sum(axis=(0, 1))
+            if together:
+                np.multiply(window, grad, out=prods[:, :, u, v])
+            else:
+                dw[u, v] = (window * grad).sum(axis=(0, 1))
             if need_dx:
                 dxp[u : u + s * oh : s, v : v + s * ow : s] += kern.weights[u, v] * grad
+    if together:
+        dw[...] = prods.sum(axis=(0, 1))
     dx = dxp[p : p + h, p : p + w].copy() if need_dx else None
     db = grad.sum(axis=(0, 1)) if kern.bias is not None else None
     return dx, dw, db
@@ -285,10 +316,20 @@ def upsample_backward(grad):
     h2, w2, c = grad.shape
     if h2 % 2 or w2 % 2:
         raise ValueError("upsample gradient must have even spatial dims")
-    return np.ascontiguousarray(grad).reshape(h2 // 2, 2, w2 // 2, 2, c).sum(axis=(1, 3))
+    if c == 1:  # numpy sums each pixel pair of a row first; see below
+        return np.ascontiguousarray(grad).reshape(h2 // 2, 2, w2 // 2, 2, c).sum(axis=(1, 3))
+    # numpy's sum(axis=(1, 3)) of the C-ordered (h, 2, w, 2, c) blocks: with
+    # c > 1 the channels are its inner loop, and it adds the four pixels of
+    # each block one by one from +0, top row first
+    out = np.zeros((h2 // 2, w2 // 2, c), dtype=grad.dtype)
+    for a in (0, 1):
+        for b in (0, 1):
+            out += grad[a::2, b::2]
+    return out
 
 
 def relu_backward(x, grad):
+    """grad where x > 0, else 0; x may be relu's input or its output, which is > 0 at the same elements."""
     return np.multiply(grad, np.greater(x, 0, order="C"), order="C")
 
 
@@ -322,15 +363,13 @@ def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True) -> tu
 
     The parameter gradients are (dweights, dbias), or (dweights,) for a
     bias-free depthwise kernel, and () for the parameter-free ops. With
-    need_dx False a kernel's dx is not computed and comes back None; that
-    path calls the kernel's private step, where per-function traces charge
-    its time to the caller.
+    need_dx False a kernel's dx is not computed and comes back None.
     """
     if isinstance(op, DepthwiseKernel):
-        dx, dw, db = depthwise_backward(x, op, grad) if need_dx else _depthwise_grads(x, op, grad, False)
+        dx, dw, db = _depthwise_grads(x, op, grad, need_dx)
         return dx, (dw,) if op.bias is None else (dw, db)
     if isinstance(op, PointwiseKernel):
-        dx, dw, db = pointwise_backward(x, op, grad) if need_dx else _pointwise_grads(x, op, grad, False)
+        dx, dw, db = _pointwise_grads(x, op, grad, need_dx)
         return dx, (dw, db)
     if op == "relu":
         return relu_backward(x, grad), ()

@@ -275,10 +275,11 @@ class PpmWriter:
     symlinks, and writes the header. Leaving the context after the last row
     renames that file onto the named one, so the output appears whole or
     not at all and a symlink at `path` keeps pointing at it; leaving it any
-    other way deletes the temporary file. An existing file keeps its mode,
-    a new one gets the mode open() would give it. An existing path that is
-    not a regular file - a directory, FIFO or device - is refused before
-    anything is created. Every error names `path`.
+    other way deletes the temporary file. An existing file keeps its
+    permission bits, but not a setuid, setgid or sticky bit; a new one gets
+    the mode open() would give it. An existing path that is not a regular
+    file - a directory, FIFO or device - is refused before anything is
+    created. Every error names `path`.
     """
 
     dtype = np.dtype(np.uint8)
@@ -311,7 +312,7 @@ class PpmWriter:
             else:
                 if not stat.S_ISREG(status.st_mode):
                     raise _NotRegularFile(errno.EINVAL, "not a regular file", self.path)
-                mode = stat.S_IMODE(status.st_mode)
+                mode = stat.S_IMODE(status.st_mode) & 0o777  # setuid, setgid and sticky bits do not carry over
             head, tail = os.path.split(self._target)
             fd, self._tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
         self._file = os.fdopen(fd, "wb")

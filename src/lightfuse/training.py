@@ -164,16 +164,24 @@ def _backward(graph, tapes, merge_pre, out_grad):
     """Exact gradients of every parameter for the cached forward pass."""
     grads = {}
     if graph.merge_add_tanh:
-        g_merge, _ = nn_ops.backward_ops(("tanh",), (merge_pre,), out_grad)
+        g_merge, _ = nn_ops.backward_ops(("tanh",), (np.ascontiguousarray(merge_pre),), out_grad)
         branch_grads = [g_merge, g_merge]
     else:
         branch_grads = [out_grad]
     for tape, g in zip(tapes, branch_grads):
+        above = None  # the C-ordered input of the layer walked last: this layer's output
         for i in reversed(range(len(tape))):
             layer, ops, inputs = tape[i]
+            if ops == ("relu",) and above is not None:
+                inputs = (above,)  # relu's output is > 0 where its input is
+            # one C-ordered copy per activation, here and for the merge: nn_ops
+            # stores them planar, and the backward reductions and masks read
+            # (H, W, C) rows
+            inputs = [np.ascontiguousarray(a) for a in inputs]
             # the network input needs no gradient: a branch's first kernel skips its dx
             g, pgrads = nn_ops.backward_ops(ops, inputs, g, need_dx=i > 0)  # in param_entries order
             grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))
+            above = inputs[0]
     return grads
 
 

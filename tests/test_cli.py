@@ -5,6 +5,7 @@ import os
 import platform
 import resource
 import stat
+import statistics
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -540,13 +541,16 @@ def test_fuse_writes_through_a_symlinked_output(tmp_path, weights_file):
     assert os.listdir(tmp_path / "real") == ["img.ppm"]
 
 
-def test_fuse_keeps_an_existing_outputs_mode(tmp_path, weights_file):
+@pytest.mark.parametrize("mode, kept", [(0o604, 0o604), (0o2755, 0o755), (0o4700, 0o700), (0o1666, 0o666)])
+def test_fuse_keeps_an_existing_outputs_permission_bits(mode, kept, tmp_path, weights_file):
     out = tmp_path / "x.ppm"
     out.write_bytes(b"old")
-    os.chmod(out, 0o604)
+    os.chmod(out, mode)
+    if out.stat().st_mode & 0o7777 != mode:
+        pytest.skip(f"this file system does not keep mode {mode:o}")
     code, want = fuse_to(out, tmp_path, weights_file)
     assert code == 0 and out.read_bytes() == want
-    assert out.stat().st_mode & 0o7777 == 0o604
+    assert out.stat().st_mode & 0o7777 == kept  # no setuid, setgid or sticky bit on the new content
 
 
 @needs_mkfifo
@@ -589,15 +593,15 @@ def test_fuse_and_eval_memory_stays_flat_as_images_grow(tmp_path, weights_file):
         names = [str(tmp_path / f"{name}{h}.ppm") for name in ("u", "o", "label", "fused")]
         for path, seed in zip(names, (1, 2, 3)):
             write_ppm(Path(path), rand_img(h, w, seed))
-        # one thread for eval too: on two, which thread holds which stripe's
-        # buffers at the peak moved eval's traced peak by about 70 KB from
-        # call to call; ssim's own tests cover two threads
         with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", stripe_rows * w), \
                 mock.patch.object(tensor_core, "CPU_THREADS", 1):
             fuse = traced_peak(
                 ["fuse", *names[:2], names[3], "--weights", str(weights_file), "--tile-size", "8"]
             )
-            peaks[h] = fuse, traced_peak(["eval", names[3], names[2]])
+        # eval on every CPU: which thread holds which stripe's buffers at the
+        # peak moves one call's traced peak by up to ~70 KB now and then, so
+        # each height counts the median of three calls
+        peaks[h] = fuse, statistics.median(traced_peak(["eval", names[3], names[2]]) for _ in range(3))
     fuse_growth, eval_growth = (b - a for a, b in zip(peaks[256], peaks[2048]))
     stripe_input = stripe_rows * w * 6 * 4  # a stripe's float32 (under, over) rows
     assert fuse_growth < stripe_input

@@ -233,6 +233,17 @@ def test_relu_backward_zero_below_zero():
     assert np.array_equal(relu_backward(x, g), np.array([0.0, 5.0], dtype=np.float32))
 
 
+def test_relu_backward_reads_relus_input_or_output_alike():
+    x = np.concatenate([
+        rand((250,), seed=56),
+        np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45], dtype=np.float32),
+    ]).reshape(1, 257, 1)
+    g = rand(x.shape, seed=57)
+    want = relu_backward(x, g)
+    assert relu_backward(relu(x), g).tobytes() == want.tobytes()
+    assert relu_backward(planar(relu(x)), planar(g)).tobytes() == want.tobytes()
+
+
 def test_depthwise_backward_shapes():
     x = rand((6, 6, 3), seed=16)
     kern = DepthwiseKernel(rand((3, 3, 3), seed=17), rand((3,), seed=18), 2)
@@ -351,6 +362,35 @@ def test_every_kernel_matches_the_hwc_reference_in_either_layout(rows, cols, c_i
                 if to_planar:
                     call[i] = planar(call[i])
             assert same_results(kernel(*call), want), (kernel.__name__, layouts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    channels=st.integers(1, 40),
+    stride=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spelled_out_sums_follow_numpys_order(rows, cols, channels, stride, seed):
+    """upsample_backward's block sums and depthwise_backward's weight sums give the reference's bytes.
+
+    Values spread over twelve decades, with negative zeros, so any other
+    order of the additions or another starting zero shows in the bits.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(np.float32)
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    g = draw(2 * rows, 2 * cols, channels)
+    assert same_results(upsample_backward(g), hwc_reference.upsample_backward(g))
+    assert same_results(upsample_backward(planar(g)), hwc_reference.upsample_backward(g))
+    x, grad = draw(stride * rows, stride * cols, channels), draw(rows, cols, channels)
+    kern = DepthwiseKernel(draw(3, 3, channels), draw(channels), stride)
+    assert same_results(depthwise_backward(planar(x), kern, grad), hwc_reference.depthwise_backward(x, kern, grad))
 
 
 @pytest.mark.parametrize("first", ["depthwise", "pointwise", "relu"])

@@ -295,6 +295,31 @@ def test_backward_runs_no_forward_op(graph):
 
 
 @pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)
+def test_backward_walk_reads_one_c_ordered_copy_per_activation(graph):
+    weights = init_weights(graph, 0)
+    x = np.concatenate([rand((16, 16, 3), 1), rand((16, 16, 3), 2)], axis=2)
+    out, pre, tapes = training._forward_cached(graph, weights, x)
+    op_backward, seen = nn_ops.op_backward, []
+
+    def recording(op, x, grad, need_dx=True):
+        seen.append(x)
+        return op_backward(op, x, grad, need_dx)
+
+    with mock.patch.object(nn_ops, "op_backward", recording):
+        training._backward(graph, tapes, pre, rand(out.shape, 3))
+    assert all(x.flags.c_contiguous for x in seen)
+    calls = iter(seen[1:] if graph.merge_add_tanh else seen)  # past the merge's tanh
+    for tape in tapes:
+        above = None
+        for layer, ops, _ in reversed(tape):
+            walked = [next(calls) for _ in ops]
+            if ops == ("relu",) and above is not None:
+                assert walked[0] is above  # the copy the layer above made of the relu's output
+            above = walked[-1]
+    assert next(calls, None) is None
+
+
+@pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)
 @pytest.mark.parametrize("extractor", [IdentityExtractor(), RandomConvExtractor(seed=4)],
                          ids=lambda e: type(e).__name__)
 def test_one_extractor_forward_per_image(graph, extractor):
