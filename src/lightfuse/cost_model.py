@@ -124,7 +124,7 @@ def analyze(graph: ModelGraph, convention: FlopsConvention = CONVENTIONS["table4
     for _, layers in graph.branches:
         scale = Fraction(1)  # output area of the current layer / input area
         for layer in layers:
-            scale *= spatial_factor(layer) ** 2
+            scale *= Fraction(*spatial_factor(layer)) ** 2
             sp = Fraction(1) if nominal else scale
             k, m, n = layer.k, layer.in_channels, layer.out_channels
             if layer.kind == "depthwise":

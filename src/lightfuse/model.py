@@ -9,7 +9,6 @@ trial network of three separable convs.
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -199,17 +198,18 @@ def layer_kernels(layer: LayerSpec, weights: dict):
     return (layer.kind,)
 
 
-def spatial_factor(layer: LayerSpec) -> Fraction:
-    """Output side length over input side length, on both spatial axes.
+def spatial_factor(layer: LayerSpec) -> tuple:
+    """Output side length over input side length, on both spatial axes, as
+    an integer (numerator, denominator) pair.
 
     Left out of __all__: it is a per-layer rule inside run_branch and
     cost_model.analyze, so per-function traces charge its time to them.
     """
     if layer.kind in ("depthwise", "separable"):
-        return Fraction(1, layer.stride)
+        return 1, layer.stride
     if layer.kind == "upsample_nn":
-        return Fraction(2)
-    return Fraction(1)
+        return 2, 1
+    return 1, 1
 
 
 def run_layer(layer: LayerSpec, weights: dict, x: np.ndarray, tape=None) -> np.ndarray:
@@ -228,9 +228,11 @@ def run_branch(layers, weights: dict, x: np.ndarray, tape=None) -> np.ndarray:
     """
     for layer in layers:
         y = run_layer(layer, weights, x, tape)
-        f = spatial_factor(layer)
-        num, den = f.numerator, f.denominator  # compared in integers: this runs for every training sample
+        num, den = spatial_factor(layer)
         if y.shape[0] * den != x.shape[0] * num or y.shape[1] * den != x.shape[1] * num:
+            from fractions import Fraction  # here, not at the top: loading model skips fractions
+
+            f = Fraction(num, den)
             raise RuntimeError(
                 f"layer '{layer.name}': expected {x.shape[0] * f}x{x.shape[1] * f} output, got {y.shape[:2]}"
             )

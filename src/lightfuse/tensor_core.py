@@ -104,9 +104,10 @@ def _open_nonblocking(path, mode="rb", buffering=-1):
     """open() with O_NONBLOCK: a FIFO opens at once instead of waiting for a peer.
 
     O_NONBLOCK changes nothing for a regular file. Opening a FIFO for
-    writing with no reader fails with ENXIO.
+    writing with no reader fails with ENXIO. A new file gets open()'s own
+    0o666 less the umask, not os.open's default 0o777.
     """
-    return open(path, mode, buffering=buffering, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
+    return open(path, mode, buffering=buffering, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK, 0o666))
 
 
 class PpmParseError(ValueError):

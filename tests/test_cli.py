@@ -250,6 +250,18 @@ def test_train_writes_weights_and_curve(tmp_path, capsys):
     assert len(curve) == 4
 
 
+def test_train_outputs_are_not_executable(tmp_path):
+    make_scene(tmp_path / "data" / "scene1", seed=0)
+    out = tmp_path / "trained.lfw"
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(["train", str(tmp_path / "data"), str(out), "--steps", "1", "--seed", "1"]) == 0
+    finally:
+        os.umask(umask)
+    for path in (out, tmp_path / "trained.lfw.csv"):
+        assert path.stat().st_mode & 0o7777 == 0o666 & ~0o022, path.name
+
+
 def test_train_deterministic_weight_bytes(tmp_path):
     make_scene(tmp_path / "data" / "scene1", seed=2)
     out_a = tmp_path / "a.lfw"

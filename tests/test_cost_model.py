@@ -174,7 +174,7 @@ def test_spatial_factor_and_exact_flops_match_execution(h, w):
             for layer in layers:
                 out = run_layer(layer, store, y)
                 area = Fraction(out.shape[0] * out.shape[1], y.shape[0] * y.shape[1])
-                assert area == spatial_factor(layer) ** 2, layer.name
+                assert area == Fraction(*spatial_factor(layer)) ** 2, layer.name
                 out_shape[layer.name] = out.shape
                 y = out
         for e in analyze(graph, CONVENTIONS["exact"]).entries:
