@@ -6,8 +6,6 @@ assertion failure.
 
 import argparse
 import ctypes
-import os
-import stat
 import sys
 from pathlib import Path
 
@@ -110,16 +108,8 @@ def _parse_file(path, parse):
 
 def _read_weight_file(path) -> bytes:
     """The file's bytes; a FIFO or other non-regular file is a WeightFormatError, found without blocking."""
-    with tensor_core._open_nonblocking(path, buffering=0) as f:
-        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            raise model.WeightFormatError("file: not a regular file")
+    with tensor_core._open_input(path, model.WeightFormatError) as f:
         return f.readall()
-
-
-def _write_file(path, data: bytes) -> None:
-    """Write data to path; a FIFO with no reader fails at once (ENXIO) instead of blocking."""
-    with tensor_core._open_nonblocking(path, "wb") as f:
-        f.write(data)
 
 
 def cmd_fuse(args) -> int:
@@ -236,10 +226,12 @@ def cmd_train(args) -> int:
         raise ValueError("no usable training triples found")
     graph = model.build_lightfuse()
     initial = model.init_weights(graph, args.seed)
-    trained, curve = training.train_toy(graph, initial, triples, args.steps, seed=args.seed)
-    _write_file(args.out, model.save_weights(trained, graph))
     curve_path = args.curve if args.curve else f"{args.out}.csv"
-    _write_file(curve_path, training.curve_to_csv(curve).encode())
+    # both outputs are checked before training, and replaced only if both are written
+    with tensor_core._OutputFile(args.out) as weights_file, tensor_core._OutputFile(curve_path) as curve_file:
+        trained, curve = training.train_toy(graph, initial, triples, args.steps, seed=args.seed)
+        weights_file.write(model.save_weights(trained, graph))
+        curve_file.write(training.curve_to_csv(curve).encode())
     if curve:
         print(f"steps={len(curve)} triples={len(triples)} final_mse={curve[-1].l_mse:.6g}")
     else:

@@ -270,13 +270,7 @@ def fuse_images(weights: dict, under, over, tile, out=None) -> tuple:
     array by default, or a row sink such as tensor_core.PpmWriter; with
     readers and a writer no full-size array exists.
     """
-    for name, img in (("under", under), ("over", over)):
-        if not isinstance(img, (np.ndarray, tensor_core.PpmReader)) or (
-            img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3
-        ):
-            raise ValueError(f"{name} must be a uint8 (H, W, 3) image")
-    if under.shape != over.shape:
-        raise ValueError(f"dimension mismatch: {under.shape[:2]} vs {over.shape[:2]}")
+    tensor_core._check_images8(under=under, over=over)
     h, w = under.shape[:2]
     if out is None:
         out = np.empty((h, w, 3), dtype=np.uint8)

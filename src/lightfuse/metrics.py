@@ -65,18 +65,6 @@ SSIM_STRIPE_PIXELS = 12288
 _SUM_LEAF = 128
 
 
-def _check_image(img):
-    if not isinstance(img, (np.ndarray, tensor_core.PpmReader)) or img.dtype != np.uint8 or img.ndim != 3:
-        raise ValueError("expected uint8 images of shape (H, W, 3)")
-
-
-def _check_same_images(a, b):
-    _check_image(a)
-    _check_image(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def psnr(a, b) -> float:
     """10*log10(255^2 / MSE) over all interleaved values; inf when identical.
 
@@ -86,7 +74,7 @@ def psnr(a, b) -> float:
     float64 mean is exact too: MSE is the float np.mean gives on the whole
     squared-difference image, in any summation order.
     """
-    _check_same_images(a, b)
+    tensor_core._check_images8(a=a, b=b)
     rows = max(1, SSIM_STRIPE_PIXELS // a.shape[1])
     total = 0
     for r0 in range(0, a.shape[0], rows):
@@ -196,7 +184,7 @@ def ssim(a, b) -> float:
     a and b are uint8 (H, W, 3) arrays or tensor_core.PpmReaders; a stripe
     reads its rows and halo rows once, and threads may share a reader.
     """
-    _check_same_images(a, b)
+    tensor_core._check_images8(a=a, b=b)
     if min(a.shape[0], a.shape[1]) < _SSIM_WINDOW:
         raise ValueError(f"images must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM")
     win = _gaussian_window()
@@ -262,7 +250,7 @@ def _image_mean(img) -> float:
     integers. A float64 sum of uint8 values is exact in any order, so the
     mean is the same float.
     """
-    _check_image(img)
+    tensor_core._check_images8(img=img)
     h, w = img.shape[:2]
     rows = max(1, SSIM_STRIPE_PIXELS // w)
     total = sum(int(img[r0 : r0 + rows].sum(dtype=np.int64)) for r0 in range(0, h, rows))

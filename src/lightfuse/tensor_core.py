@@ -3,7 +3,13 @@
 Conventions used across the package:
   * a "tensor" is a numpy float32 array of shape (height, width, channels),
     row-major with interleaved channels;
-  * an 8-bit image is a numpy uint8 array of shape (height, width, 3).
+  * an 8-bit image is a numpy uint8 array of shape (height, width, 3), or
+    a PpmReader of one, with height and width at least 1.
+
+The package's file and image rules have one owner each here:
+_check_images8 checks every 8-bit image argument, _open_input opens every
+input file and _OutputFile writes every output file (PpmWriter's, and the
+CLI's weights and loss curve).
 
 The module also holds the work sharing that the tile executor
 (fusion.run_detailnet_fused) and SSIM (metrics.ssim) have in common:
@@ -100,14 +106,16 @@ def _share_work(units, run, buffers, alongside=None) -> None:
         raise failed[0]
 
 
-def _open_nonblocking(path, mode="rb", buffering=-1):
-    """open() with O_NONBLOCK: a FIFO opens at once instead of waiting for a peer.
+def _open_input(path, error):
+    """path's file, open for unbuffered binary reading; error("file: not a regular file") unless it is one.
 
-    O_NONBLOCK changes nothing for a regular file. Opening a FIFO for
-    writing with no reader fails with ENXIO. A new file gets open()'s own
-    0o666 less the umask, not os.open's default 0o777.
+    O_NONBLOCK opens a FIFO at once, instead of waiting for a writer, to fail the check.
     """
-    return open(path, mode, buffering=buffering, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK, 0o666))
+    file = open(path, "rb", buffering=0, opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
+    if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        return file
+    file.close()
+    raise error("file: not a regular file")
 
 
 class PpmParseError(ValueError):
@@ -207,13 +215,10 @@ class PpmReader:
 
     def __init__(self, path):
         self.path = path
-        # a pipe opens at once and fails the regular-file check below
-        self._file = _open_nonblocking(path, buffering=0)
+        self._file = _open_input(path, PpmParseError)
         try:
             fd = self._fd = self._file.fileno()
             status = os.fstat(fd)
-            if not stat.S_ISREG(status.st_mode):
-                raise PpmParseError("file: not a regular file")
             data = b""
             while True:
                 chunk = os.pread(fd, max(_HEADER_READ, len(data)), len(data))
@@ -256,9 +261,9 @@ class PpmReader:
 
 
 def encode_ppm(img: np.ndarray) -> bytes:
-    """Encode a uint8 (H, W, 3) image as a canonical binary P6 file."""
-    _check_image8(img)
-    return b"".join((_ppm_header(img.shape), np.ascontiguousarray(img).data))
+    """Encode a uint8 (H, W, 3) image (array or PpmReader) as a canonical binary P6 file."""
+    _check_images8(img=img)
+    return b"".join((_ppm_header(img.shape), np.ascontiguousarray(img[:]).data))
 
 
 class _NotRegularFile(OSError):
@@ -268,40 +273,24 @@ class _NotRegularFile(OSError):
         return f"{self.filename}: {self.strerror}"
 
 
-class PpmWriter:
-    """A binary P6 PPM file written row by row, in order.
+class _OutputFile:
+    """The file `path` names, replaced whole or not at all.
 
-    writer[r0:r1] = rows appends uint8 rows [r0, r1); the first write
-    creates a temporary file beside the file `path` names, following
-    symlinks, and writes the header. Leaving the context after the last row
-    renames that file onto the named one, so the output appears whole or
-    not at all and a symlink at `path` keeps pointing at it; leaving it any
-    other way deletes the temporary file. An existing file keeps its
-    permission bits, but not a setuid, setgid or sticky bit; a new one gets
-    the mode open() would give it. An existing path that is not a regular
-    file - a directory, FIFO or device - is refused before anything is
-    created. Every error names `path`.
+    Entering the context creates a temporary file beside the file `path`
+    names, following symlinks, and returns it open for binary writing.
+    Leaving the context without an exception renames it onto the named
+    file, so a symlink at `path` keeps pointing at it; leaving it any other
+    way deletes it. An existing file keeps its permission bits, but not a
+    setuid, setgid or sticky bit, and a read-only one is replaced like any
+    other; a new one gets the mode open() would give it. An existing path
+    that is not a regular file - a directory, FIFO or device - is refused
+    before anything is created or opened. Every error names `path`.
     """
 
-    dtype = np.dtype(np.uint8)
-
-    def __init__(self, path, shape):
+    def __init__(self, path):
         self.path = str(Path(path))
-        self.shape = tuple(shape)
-        self._file = None
-        self._next = 0
 
-    def __setitem__(self, rows: slice, img: np.ndarray) -> None:
-        a, b, _ = rows.indices(self.shape[0])
-        if a != self._next or img.shape != (b - a,) + self.shape[1:] or img.dtype != np.uint8:
-            raise ValueError(f"expected uint8 rows from {self._next} of a {self.shape} image")
-        if self._file is None:
-            self._open()
-        self._file.write(np.ascontiguousarray(img).data)
-        self._next = b
-
-    def _open(self) -> None:
-        """Check the named file, create the temporary one and write the header."""
+    def __enter__(self):
         with self._naming_path():
             self._target = os.path.realpath(self.path)
             try:
@@ -316,28 +305,24 @@ class PpmWriter:
                 mode = stat.S_IMODE(status.st_mode) & 0o777  # setuid, setgid and sticky bits do not carry over
             head, tail = os.path.split(self._target)
             fd, self._tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head)
-        self._file = os.fdopen(fd, "wb")
+        self.file = os.fdopen(fd, "wb")
         os.fchmod(fd, mode)
-        self._file.write(_ppm_header(self.shape))
-
-    def __enter__(self):
-        return self
+        return self.file
 
     def __exit__(self, exc_type, *_):
-        complete = exc_type is None and self._next == self.shape[0]
-        if self._file is not None:
-            replaced = False
-            try:
-                self._file.close()
-                if complete:
-                    with self._naming_path():
-                        os.replace(self._tmp, self._target)
-                    replaced = True
-            finally:
-                if not replaced:
-                    os.unlink(self._tmp)
-        if exc_type is None and not complete:
-            raise ValueError(f"{self.path}: {self._next} of {self.shape[0]} rows written")
+        self._close(replace=exc_type is None)
+
+    def _close(self, replace: bool) -> None:
+        replaced = False
+        try:
+            self.file.close()
+            if replace:
+                with self._naming_path():
+                    os.replace(self._tmp, self._target)
+                replaced = True
+        finally:
+            if not replaced:
+                os.unlink(self._tmp)
 
     @contextlib.contextmanager
     def _naming_path(self):
@@ -347,14 +332,47 @@ class PpmWriter:
             raise type(exc)(exc.errno, exc.strerror, self.path) from None
 
 
+class PpmWriter(_OutputFile):
+    """A binary P6 PPM file written row by row, in order, as an _OutputFile.
+
+    Entering the context writes the header; writer[r0:r1] = rows appends
+    uint8 rows [r0, r1). The file is put in place when the context is left
+    after the last row, and not at all otherwise.
+    """
+
+    dtype = np.dtype(np.uint8)
+
+    def __init__(self, path, shape):
+        super().__init__(path)
+        self.shape = tuple(shape)
+        self._next = 0
+
+    def __enter__(self):
+        super().__enter__().write(_ppm_header(self.shape))
+        return self
+
+    def __setitem__(self, rows: slice, img: np.ndarray) -> None:
+        a, b, _ = rows.indices(self.shape[0])
+        if a != self._next or img.shape != (b - a,) + self.shape[1:] or img.dtype != np.uint8:
+            raise ValueError(f"expected uint8 rows from {self._next} of a {self.shape} image")
+        self.file.write(np.ascontiguousarray(img).data)
+        self._next = b
+
+    def __exit__(self, exc_type, *_):
+        complete = self._next == self.shape[0]
+        self._close(replace=exc_type is None and complete)
+        if exc_type is None and not complete:
+            raise ValueError(f"{self.path}: {self._next} of {self.shape[0]} rows written")
+
+
 def _ppm_header(shape) -> bytes:
     return f"P6\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
 
 
 def normalize(img: np.ndarray) -> np.ndarray:
-    """Map 8-bit values onto [-1, 1]: v -> v / 127.5 - 1, float32."""
-    _check_image8(img)
-    t = img.astype(np.float32)
+    """Map an 8-bit image's values onto [-1, 1]: v -> v / 127.5 - 1, float32."""
+    _check_images8(img=img)
+    t = img[:].astype(np.float32)
     np.divide(t, 127.5, out=t)
     np.subtract(t, 1.0, out=t)
     return t
@@ -379,10 +397,18 @@ def require_finite(arr: np.ndarray, what: str = "tensor") -> None:
         raise ValueError(f"{what} contains non-finite values")
 
 
-def _check_image8(img):
-    if not isinstance(img, np.ndarray) or img.dtype != np.uint8:
-        raise ValueError("expected a uint8 image array")
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError("expected image shape (H, W, 3)")
-    if img.shape[0] < 1 or img.shape[1] < 1:
-        raise ValueError("image dimensions must be positive")
+def _check_images8(**images) -> None:
+    """Raise a ValueError naming the argument unless each image is a uint8 (H, W, 3) array or PpmReader.
+
+    H and W must be at least 1, and two or more images must share them.
+    """
+    for name, img in images.items():
+        if not isinstance(img, (np.ndarray, PpmReader)) or (
+            img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3
+        ):
+            raise ValueError(f"{name} must be a uint8 (H, W, 3) image")
+        if img.shape[0] < 1 or img.shape[1] < 1:
+            raise ValueError(f"{name} must be at least 1x1, got {img.shape[0]}x{img.shape[1]}")
+    sizes = [img.shape[:2] for img in images.values()]
+    if any(size != sizes[0] for size in sizes):
+        raise ValueError("dimension mismatch: " + " vs ".join(map(str, sizes)))

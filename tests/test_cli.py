@@ -403,17 +403,21 @@ def test_fifo_weights_fail_without_blocking(tmp_path, fifo_call, capsys):
 
 
 @needs_mkfifo
-@pytest.mark.parametrize("which", ["weights", "curve"])
+@pytest.mark.parametrize("which", ["weights", "curve", "curve_in_missing_directory"])
 def test_train_fifo_output_fails_without_blocking(which, tmp_path, fifo_call, capsys):
-    # opening a FIFO with no reader for writing fails at once (ENXIO): exit 2
+    # a FIFO output is refused before it is opened, and either bad output
+    # fails the call before the other is written: exit 2
     make_scene(tmp_path / "data" / "scene1", seed=26)
     out, curve = tmp_path / "w.lfw", tmp_path / "curve.csv"
-    fifo = out if which == "weights" else curve
-    os.mkfifo(fifo)
+    if which == "curve_in_missing_directory":
+        curve = tmp_path / "missing" / "curve.csv"
+    else:
+        os.mkfifo(out if which == "weights" else curve)
+    listing = sorted(os.listdir(tmp_path))
     argv = ["train", str(tmp_path / "data"), str(out), "--steps", "0", "--curve", str(curve)]
-    assert fifo_call(fifo, lambda: cli.main(argv)) == 2
+    assert fifo_call(out if which == "weights" else curve, lambda: cli.main(argv)) == 2
     assert capsys.readouterr().err.startswith("i/o error: ")
-    assert out.is_file() == (which == "curve")
+    assert sorted(os.listdir(tmp_path)) == listing  # no output file is left
 
 
 @pytest.mark.parametrize("command", ["analyze", "bench", "eval", "fuse", "pair", "train"])

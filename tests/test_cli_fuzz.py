@@ -5,8 +5,16 @@ intact or with one fault: truncated, a byte flipped, empty, another image
 size, a directory or a symlink loop in its place, or (weights only) a
 non-finite tensor. cli.main must return 0, 1, 2 or 3 without an exception
 escaping; a failed call must end stderr with a classified message, and a
-failed fuse must leave its directory as it was. FIFOs are not drawn: the
-tests in test_cli.py run them with a guard against a blocked call.
+failed fuse must leave its directory as it was. FIFO inputs are not drawn:
+the tests in test_cli.py run them with a guard against a blocked call.
+
+A second test draws faults on the outputs instead, with intact inputs:
+fuse's image, train's weights and curve may each be absent, a symlink to a
+file, a FIFO, a directory or a read-only file. Such a call exits 0 or 2. A
+failed one leaves the directory listing and every symlink's target as they
+were; a successful one leaves a symlink a symlink and a read-only file
+read-only. A FIFO output is refused before it is opened, so it cannot
+block.
 """
 
 import contextlib
@@ -111,3 +119,64 @@ def test_cli_works_or_fails_cleanly(command, faults, weights_fault, shape, seed)
                 assert sorted(os.listdir(root)) == listing
         elif command == "fuse":
             assert sorted(os.listdir(root)) == sorted(listing + ["out.ppm"])
+
+
+OUTPUT_FAULTS = st.sampled_from(["absent", "symlink", "fifo", "directory", "read_only"])
+OUTPUTS = {"fuse": ["out.ppm"], "train": ["trained.lfw", "curve.csv"]}
+
+
+def place_output_fault(path, fault):
+    if fault == "symlink":
+        path.with_name(f"{path.name}.target").write_bytes(b"old")
+        path.symlink_to(f"{path.name}.target")
+    elif fault == "fifo":
+        os.mkfifo(path)
+    elif fault == "directory":
+        path.mkdir()
+    elif fault == "read_only":
+        path.write_bytes(b"old")
+        path.chmod(0o444)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@given(
+    command=st.sampled_from(sorted(OUTPUTS)),
+    faults=st.lists(OUTPUT_FAULTS, min_size=2, max_size=2),
+    shape=st.tuples(st.integers(1, 32), st.integers(1, 32)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=2000)
+def test_cli_output_faults_exit_0_or_2(command, faults, shape, seed):
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if command == "fuse":
+            for name in ("under.ppm", "over.ppm"):
+                (root / name).write_bytes(encode_ppm(rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)))
+            (root / "w.lfw").write_bytes(_LFW)
+            argv = ["fuse", f"{tmp}/under.ppm", f"{tmp}/over.ppm", f"{tmp}/out.ppm", "--weights", f"{tmp}/w.lfw"]
+        else:  # one scene of one 64x64 patch
+            (root / "data" / "s").mkdir(parents=True)
+            for name in ("label.ppm", "a.ppm", "b.ppm"):
+                img = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
+                (root / "data" / "s" / name).write_bytes(encode_ppm(img))
+            argv = ["train", f"{tmp}/data", f"{tmp}/trained.lfw", "--steps", "0", "--curve", f"{tmp}/curve.csv"]
+        placed = dict(zip(OUTPUTS[command], faults))
+        for name, fault in placed.items():
+            place_output_fault(root / name, fault)
+        listing = sorted(os.listdir(root))
+        targets = {path: path.read_bytes() for path in root.glob("*.target")}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2)
+        if code:
+            assert err.getvalue().splitlines()[-1].startswith("i/o error: ")
+            assert sorted(os.listdir(root)) == listing
+            assert {path: path.read_bytes() for path in targets} == targets
+        else:
+            assert sorted(os.listdir(root)) == sorted(set(listing) | set(placed))
+            for name, fault in placed.items():
+                assert (root / name).is_symlink() == (fault == "symlink")
+                if fault == "read_only":
+                    assert (root / name).stat().st_mode & 0o777 == 0o444

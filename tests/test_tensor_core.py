@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lightfuse import fusion, metrics, model
 from lightfuse.tensor_core import (
     PpmParseError,
     PpmReader,
@@ -210,6 +211,37 @@ def test_denormalize_clamps_out_of_range():
     img = denormalize(t)
     assert img[0, 0, 0] == 255
     assert img[0, 0, 1] == 0
+
+
+BAD_IMAGES = {
+    "float": np.zeros((16, 16, 3), dtype=np.float32),
+    "2d": np.zeros((16, 16), dtype=np.uint8),
+    "4_channels": np.zeros((16, 16, 4), dtype=np.uint8),
+    "zero_height": np.zeros((0, 16, 3), dtype=np.uint8),
+    "zero_width": np.zeros((16, 0, 3), dtype=np.uint8),
+}
+
+
+def _fuse_images(img):
+    return fusion.fuse_images(model.init_weights(model.build_lightfuse(), 0), img, img, 8)
+
+
+# every function that takes 8-bit images, called on one or two of the image
+IMAGE_TAKERS = {
+    "normalize": normalize,
+    "encode_ppm": encode_ppm,
+    "psnr": lambda img: metrics.psnr(img, img),
+    "ssim": lambda img: metrics.ssim(img, img),
+    "select_extreme_pair": lambda img: metrics.select_extreme_pair([img, img]),
+    "fuse_images": _fuse_images,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_IMAGES))
+@pytest.mark.parametrize("taker", sorted(IMAGE_TAKERS))
+def test_every_image_taker_rejects_the_same_bad_images(taker, bad):
+    with pytest.raises(ValueError, match=r"must be a uint8 \(H, W, 3\) image|must be at least 1x1"):
+        IMAGE_TAKERS[taker](BAD_IMAGES[bad])
 
 
 def test_denormalize_rejects_wrong_channel_count():

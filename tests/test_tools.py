@@ -49,3 +49,24 @@ def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
     # loss_and_grads returns the same output that forward computes
     assert len({m.group(1) for m in matches[:4]}) == 1 and len({m.group(1) for m in matches[4:]}) == 1
     assert " l_perceptual=0.0," in lines[1] and " l_perceptual=0.0," not in lines[2]
+
+
+def test_digests_fault_lines_give_each_cases_exit_code_stderr_and_listing(capsys):
+    digests = load_digests()
+    assert digests.main(["--workload", "faults", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(digests.FAULT_CASES)
+    cases = {}
+    for (command, name, fault), line in zip(digests.FAULT_CASES, lines):
+        m = re.fullmatch(rf"faults seed=2 {command} {re.escape(name)}={fault} rc=([0-3]) stderr=(.*) ls=(.+)", line)
+        assert m, line
+        rc, err, listing = int(m.group(1)), m.group(2), m.group(3).split()
+        assert (rc == 0) == (err == ""), line
+        assert "/tmp" not in err, line  # the case's directory reads <dir>
+        cases[command, name, fault] = rc, err, listing
+    rc, err, listing = cases["fuse", "out.ppm", "fifo"]
+    assert (rc, err) == (2, "i/o error: <dir>/out.ppm: not a regular file") and "out.ppm|" in listing
+    rc, _, listing = cases["fuse", "out.ppm", "symlink"]
+    assert rc == 0 and "out.ppm->out.ppm.target" in listing
+    rc, _, listing = cases["train", "t.lfw", "intact"]
+    assert rc == 0 and {"t.lfw", "t.csv"} <= {entry.split(":")[0] for entry in listing}

@@ -13,17 +13,23 @@ workload calls the package instead, on inputs drawn from the seed: one
 line for model.forward, and one for training.loss_and_grads on each graph
 (lightfuse, tcnn) with each extractor (none, IdentityExtractor,
 RandomConvExtractor(seed)), giving the SHA-256 of the output and of every
-gradient in graph_param_entries order, and the LossReport's repr. Run it on
-two checkouts (or with --src on each) and diff the outputs to check that a
-change leaves the program's outputs byte for byte the same. perfbench is
-only read; the lightfuse package comes from --src (default: src/ beside
-this script's directory).
+gradient in graph_param_entries order, and the LossReport's repr. The
+`faults` workload runs one CLI call per FAULT_CASES entry, each in a fresh
+directory of small intact inputs with one file replaced by a fault, and
+prints its exit code, its last stderr line and the directory listing
+after it (see `listing`). Run it on two checkouts (or with --src on each)
+and diff the outputs to check that a change leaves the program's outputs,
+or its fault behaviour, byte for byte the same. perfbench is only read;
+the lightfuse package comes from --src (default: src/ beside this
+script's directory).
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -31,8 +37,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("fuse_large", "fuse_burst", "train_toy", "library")
+WORKLOADS = ("fuse_large", "fuse_burst", "train_toy", "library", "faults")
 LIBRARY_SIZE = (56, 72)  # (H, W): multiples of 8, not square
+# (command, file, fault) of each faults case: input faults on an image of
+# fuse and of eval, weight faults, then output faults on fuse's image and
+# train's weights and curve
+FAULT_CASES = (
+    [(command, name, fault) for command, name in (("fuse", "under.ppm"), ("eval", "a.ppm"))
+     for fault in ("intact", "missing", "directory", "truncated", "empty", "mismatched")]
+    + [("fuse", "w.lfw", fault) for fault in ("junk", "fifo")]
+    + [("train", "t.lfw", "intact")]
+    + [(command, name, fault) for command, name in (("fuse", "out.ppm"), ("train", "t.lfw"), ("train", "t.csv"))
+       for fault in ("symlink", "fifo", "directory", "read_only", "missing_directory")]
+)
 
 
 def sha256(path) -> str:
@@ -40,11 +57,11 @@ def sha256(path) -> str:
 
 
 def call(cli, argv):
-    """(exit code, stdout with newlines as ' | ') of one in-process CLI call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """(exit code, stdout with newlines as ' | ', last stderr line) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, " | ".join(out.getvalue().splitlines())
+    return code, " | ".join(out.getvalue().splitlines()), (err.getvalue().splitlines() or [""])[-1]
 
 
 def array_sha256(a) -> str:
@@ -74,22 +91,91 @@ def library_lines(lf, seed):
             yield f"library seed={seed} {graph.name} loss_and_grads extractor={name} {' '.join(fields)} report={report!r}"
 
 
+def listing(root) -> str:
+    """root's entries, sorted: dir/, symlink->target, fifo| and file:mode:size."""
+    entries = []
+    for path in sorted(Path(root).iterdir()):
+        mode = path.lstat().st_mode
+        if stat.S_ISLNK(mode):
+            entries.append(f"{path.name}->{os.readlink(path)}")
+        elif stat.S_ISDIR(mode):
+            entries.append(f"{path.name}/")
+        elif stat.S_ISFIFO(mode):
+            entries.append(f"{path.name}|")
+        else:
+            entries.append(f"{path.name}:{stat.S_IMODE(mode):o}:{path.stat().st_size}")
+    return " ".join(entries)
+
+
+def put_fault(lf, rng, path, fault) -> Path:
+    """Replace the file at path with `fault`; returns the path to give the CLI."""
+    if fault in ("missing", "directory", "fifo", "symlink"):
+        path.unlink(missing_ok=True)
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "fifo":
+        os.mkfifo(path)
+    elif fault == "symlink":
+        path.with_name(path.name + ".target").write_bytes(b"old")
+        path.symlink_to(path.name + ".target")
+    elif fault == "read_only":
+        path.write_bytes(b"old")
+        path.chmod(0o444)
+    elif fault == "missing_directory":
+        return path.parent / "missing" / path.name
+    elif fault in ("truncated", "empty", "junk"):
+        blob = path.read_bytes()
+        path.write_bytes({"truncated": blob[:-10], "empty": b"", "junk": rng.bytes(64)}[fault])
+    elif fault == "mismatched":
+        path.write_bytes(lf.tensor_core.encode_ppm(rng.integers(0, 256, (16, 24, 3), np.uint8)))
+    return path
+
+
+def fault_lines(lf, seed):
+    rng = np.random.default_rng(seed)
+    graph = lf.model.build_lightfuse()
+    lfw = lf.model.save_weights(lf.model.init_weights(graph, seed), graph)
+    for command, name, fault in FAULT_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "data" / "s").mkdir(parents=True)
+            for image in ("under", "over", "a", "b", "data/s/label", "data/s/x", "data/s/y"):
+                size = (64, 64) if image.startswith("data/") else (16, 16)  # train needs a 64x64 patch
+                img = rng.integers(0, 256, size + (3,), np.uint8)
+                (root / f"{image}.ppm").write_bytes(lf.tensor_core.encode_ppm(img))
+            (root / "w.lfw").write_bytes(lfw)
+            names = ("under.ppm", "over.ppm", "a.ppm", "b.ppm", "w.lfw", "out.ppm", "t.lfw", "t.csv")
+            path = {each: root / each for each in names}
+            path[name] = put_fault(lf, rng, path[name], fault)
+            argv = {
+                "fuse": ["fuse", path["under.ppm"], path["over.ppm"], path["out.ppm"], "--weights", path["w.lfw"]],
+                "eval": ["eval", path["a.ppm"], path["b.ppm"]],
+                "train": ["train", root / "data", path["t.lfw"], "--steps", "1", "--curve", path["t.csv"]],
+            }[command]
+            code, _, err = call(lf.cli, [str(arg) for arg in argv])
+            err = err.replace(tmp, "<dir>")
+            yield f"faults seed={seed} {command} {name}={fault} rc={code} stderr={err} ls={listing(root)}"
+
+
 def digest_lines(lf, run, workload, seed):
     if workload == "library":
         yield from library_lines(lf, seed)
+        return
+    if workload == "faults":
+        yield from fault_lines(lf, seed)
         return
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         plan, _ = run.prepare(lf, workload, seed, work)
         for i, task in enumerate(plan["tasks"]):
             for op in task:
-                code, stdout = call(lf.cli, op["argv"])
+                code, stdout, _ = call(lf.cli, op["argv"])
                 fields = [f"{workload} seed={seed} task={i} {op['kind']} rc={code}"]
                 fields += [f"{key}={sha256(op[key]) if code == 0 else '-'}" for key in ("out", "curve") if key in op]
                 yield " ".join(fields + [f"stdout={stdout}"])
         scenes = work / "scenes"
         for scene in sorted(scenes.iterdir()) if scenes.is_dir() else ():
-            code, stdout = call(lf.cli, ["pair", str(scene)])
+            code, stdout, _ = call(lf.cli, ["pair", str(scene)])
             yield f"{workload} seed={seed} {scene.name} pair rc={code} stdout={stdout}"
 
 
