@@ -6,34 +6,37 @@ files. SSIM is the standard single-scale formulation: 11x11 Gaussian window
 with sigma 1.5, C1 = (0.01*255)^2, C2 = (0.03*255)^2, valid windows only
 (no padding), averaged over windows then channels.
 
-SSIM runs in horizontal stripes of output rows, so its working set does
-not grow with image height. A stripe reads its rows plus the 10 halo rows
-of each input once, then, channel by channel, fills five maps (x, y, x*x,
-y*y, x*y) into preallocated buffers and filters them in place. Each pass
-keeps the pinned order - a zero start, then + kernel[u] * x for u
-ascending, every product rounded before its add - so every value of the
-(H-10, W-10) SSIM map is the one whole-image filtering gives.
+SSIM's map is never kept whole. numpy takes a contiguous array's mean as
+np.add.reduce / n, and that reduce is a pairwise tree whose shape depends
+only on n, so the (H-10) x (W-10) map, flattened, is cut along that tree:
+the work units are its largest nodes of at most (stripe + 10) rows of
+values (_sum_tree). A unit computes the output rows that cover it, in
+passes of one to two stripes, into its own rows of map, reduces its node
+with one np.add.reduce per channel into a preallocated (channels, units)
+array, and keeps nothing after that; a row that two units share is
+computed by both. The unit sums are then added in the tree's order,
+left + right, so each channel's mean is the float the map's mean() gives,
+and the score the same float as the whole-image formulation. A pass reads
+its rows plus the 10 halo rows of each input once, then, channel by
+channel, fills five maps (x, y, x*x, y*y, x*y) into preallocated buffers
+and filters them in place. Each filter pass keeps the pinned order - a
+zero start, then + kernel[u] * x for u ascending, every product rounded
+before its add - so every map value is the one whole-image filtering
+gives.
 
-No map is kept. The stripes are shared out by tensor_core._share_work
-among tensor_core.CPU_THREADS threads (the CPU count the tile executor
-uses too), each with its own buffers, allocated by the caller, and each
-stripe hands its rows of the map to a _TreeSum per channel. numpy takes a
-contiguous array's mean as np.add.reduce / n, and that reduce is a pairwise
-tree whose shape depends only on n; _TreeSum reduces the tree's nodes that
-lie inside a stripe and adds them up in the tree's order, whichever stripe
-ends first. Each channel's mean is therefore the float the map's mean()
-gives, and the score the same float as the whole-image formulation. Worker
-threads call numpy, _filter_rows, a reader's row reads and _TreeSum, never
-a function in a module's __all__, so a traced run keeps seeing one thread.
-They run in the caller's np.errstate; every worker is joined before ssim
-returns or raises, and a worker's exception is raised on the caller.
-The stripe buffers are allocated and freed on every call; cli.main keeps
-glibc from unmapping freed heap (cli._keep_freed_heap), so a process that
-scores again and again does not page-fault them in each time.
+The units are shared out by tensor_core._share_work among
+tensor_core.CPU_THREADS threads (the CPU count the tile executor uses
+too), each with its own buffers, sized by the width alone and allocated by
+the caller. Worker threads call numpy, _filter_rows and a reader's row
+reads, never a function in a module's __all__, so a traced run keeps
+seeing one thread. They run in the caller's np.errstate; every worker is
+joined before ssim returns or raises, and a worker's exception is raised
+on the caller. The buffers are allocated and freed on every call; cli.main
+keeps glibc from unmapping freed heap (cli._keep_freed_heap), so a process
+that scores again and again does not page-fault them in each time.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -59,7 +62,8 @@ _C2 = (0.03 * 255) ** 2
 # p25 in a fuse + eval loop): 0.51-0.54 s at 8192, 0.42-0.45 s here,
 # 0.38-0.43 s at 16384, 0.42-0.43 s at 20480 and 0.45-0.47 s at 24576,
 # against 0.53-0.56 s for one thread and a whole map at 8192. 12288 keeps
-# a thread's buffers near 2 MB.
+# a thread's stripe buffers near 2 MB; its buffers for passes of up to two
+# stripes and its unit's rows of map make 4.4 MB at W=1027.
 SSIM_STRIPE_PIXELS = 12288
 # numpy's pairwise-sum leaf: the largest block it sums without splitting
 _SUM_LEAF = 128
@@ -115,73 +119,28 @@ def _filter_rows(maps, kernel, tmp, out, prod):
         np.add(out, narrow, out=out)
 
 
-class _TreeSum:
-    """np.add.reduce of a flat float64 array of n elements, from its pieces.
+def _sum_tree(start, size, budget, node):
+    """node(start, size) of each unit of np.add.reduce's tree, added left + right.
 
     numpy sums a contiguous float64 array pairwise, in a tree whose shape
-    depends only on n: a node of more than _SUM_LEAF elements splits at
-    n // 2 rounded down to a multiple of 8, and a leaf is summed with 8
-    accumulators. add() takes one piece, elements [start, start + size),
-    from any thread and in any order. It reduces each largest node that
-    lies inside the piece with one np.add.reduce, which sums that node as
-    the whole array's reduce does. The part of a leaf that crosses the
-    piece's edge is kept until the leaf's other parts arrive, and two
-    sibling sums are added, left + right, as soon as both exist. total()
-    is then the float np.add.reduce gives on the whole array. What is held
-    between calls is a few sums and leaf parts at the edges of pieces not
-    yet added.
+    depends only on its size: a node of more than _SUM_LEAF elements is the
+    sum of its two halves, split at size // 2 rounded down to a multiple of
+    8, and a node's sum depends only on its own elements. The units are the
+    largest nodes of at most max(budget, _SUM_LEAF) elements. With node
+    returning [(start, size)] the result lists the units in order; with node
+    returning each unit's np.add.reduce, in that order, it is the float
+    np.add.reduce gives on elements [start, start + size).
     """
-
-    def __init__(self, n):
-        self.n = n
-        self._sums = {}  # (start, size) -> the node's sum
-        self._parts = {}  # leaf start -> {part start: part}
-        self._lock = threading.Lock()
-
-    def add(self, start, piece) -> None:
-        end = start + piece.size
-        inside = []  # (node, size, sum) of the largest nodes inside the piece
-        crossed = []  # (node, size, half) of the split nodes that cross its edges
-        edges = []  # (leaf, size, part start, part) of the leaves that do
-        todo = [(0, self.n)]  # nodes that overlap the piece
-        while todo:
-            node, size = todo.pop()
-            if start <= node and node + size <= end:
-                inside.append((node, size, np.add.reduce(piece[node - start : node - start + size])))
-            elif size > _SUM_LEAF:
-                half = size // 2 - size // 2 % 8
-                crossed.append((node, size, half))
-                if node + half < end:
-                    todo.append((node + half, size - half))
-                if node + half > start:
-                    todo.append((node, half))
-            else:
-                lo = max(node, start)
-                edges.append((node, size, lo, piece[lo - start : min(node + size, end) - start].copy()))
-        with self._lock:
-            sums = self._sums
-            for node, size, value in inside:
-                sums[node, size] = value
-            for node, size, lo, part in edges:
-                parts = self._parts.setdefault(node, {})
-                parts[lo] = part
-                if sum(p.size for p in parts.values()) == size:
-                    del self._parts[node]
-                    sums[node, size] = np.add.reduce(np.concatenate([parts[k] for k in sorted(parts)]))
-            # children before parents: crossed is in depth-first preorder
-            for node, size, half in reversed(crossed):
-                left, right = (node, half), (node + half, size - half)
-                if left in sums and right in sums:
-                    sums[node, size] = sums.pop(left) + sums.pop(right)
-
-    def total(self) -> float:
-        return float(self._sums[0, self.n])
+    if size <= max(budget, _SUM_LEAF):
+        return node(start, size)
+    half = size // 2 - size // 2 % 8
+    return _sum_tree(start, half, budget, node) + _sum_tree(start + half, size - half, budget, node)
 
 
 def ssim(a, b) -> float:
     """Mean single-scale SSIM over valid windows, averaged across channels.
 
-    a and b are uint8 (H, W, 3) arrays or tensor_core.PpmReaders; a stripe
+    a and b are uint8 (H, W, 3) arrays or tensor_core.PpmReaders; a pass
     reads its rows and halo rows once, and threads may share a reader.
     """
     tensor_core._check_images8(a=a, b=b)
@@ -191,56 +150,75 @@ def ssim(a, b) -> float:
     halo = _SSIM_WINDOW - 1
     h, w, channels = a.shape
     oh, ow = h - halo, w - halo
+    n = oh * ow
     stripe = min(oh, max(1, SSIM_STRIPE_PIXELS // w))
-    sums = [_TreeSum(oh * ow) for _ in range(channels)]
+    # a unit holds at most as many map rows as a stripe reads input rows
+    budget = (stripe + halo) * ow
+    units = _sum_tree(0, n, budget, lambda start, size: [(start, size)])
+    # the rows of the largest unit: one more than its values fill when it starts mid-row
+    unit_rows = min(oh, -(-max(budget, _SUM_LEAF) // ow) + 1)
+    sums = np.empty((channels, len(units)))
 
-    def run_stripe(r0, maps, tmp, filt, prod):
-        rows = min(stripe, oh - r0)
-        ra, rb = a[r0 : r0 + rows + halo], b[r0 : r0 + rows + halo]
-        m, f = maps[:, : rows + halo], filt[:, :rows]
+    def run_unit(unit, maps, tmp, filt, prod, smap):
+        i, (start, size) = unit
+        # the unit's rows, in passes of one to two stripes (a rest of less than
+        # two is one pass); a row it shares with a neighbour is computed by both
+        first, last = start // ow, -(-(start + size) // ow)
+        r0 = first
+        while r0 < last:
+            rows = last - r0 if last - r0 < 2 * stripe else stripe
+            ra, rb = a[r0 : r0 + rows + halo], b[r0 : r0 + rows + halo]
+            m, f = maps[:, : rows + halo], filt[:, :rows]
+            for c in range(channels):
+                m[0] = ra[:, :, c]
+                m[1] = rb[:, :, c]
+                np.multiply(m[0], m[0], out=m[2])
+                np.multiply(m[1], m[1], out=m[3])
+                np.multiply(m[0], m[1], out=m[4])
+                _filter_rows(m, win, tmp[:, :rows], f, prod)
+                mx, my, vx, vy, cxy = f
+                # the filter's products are spent: reuse prod for four (rows, ow) maps
+                mx2, my2, mxy, num = prod[: 4 * rows * ow].reshape(4, rows, ow)
+                # vx, vy, cxy: filtered second moments minus the squared means
+                np.subtract(vx, np.multiply(mx, mx, out=mx2), out=vx)
+                np.subtract(vy, np.multiply(my, my, out=my2), out=vy)
+                np.subtract(cxy, np.multiply(mx, my, out=mxy), out=cxy)
+                # ((2*mx*my + C1) * (2*cxy + C2)) / ((mx^2 + my^2 + C1) * (vx + vy + C2))
+                np.multiply(mx, 2.0, out=num)
+                np.multiply(num, my, out=num)
+                np.add(num, _C1, out=num)
+                np.multiply(cxy, 2.0, out=cxy)
+                np.add(cxy, _C2, out=cxy)
+                np.multiply(num, cxy, out=num)
+                den = np.add(mx2, my2, out=mx2)
+                np.add(den, _C1, out=den)
+                np.add(vx, vy, out=vx)
+                np.add(vx, _C2, out=vx)
+                np.multiply(den, vx, out=den)
+                np.divide(num, den, out=smap[c, r0 - first : r0 - first + rows])
+            r0 += rows
+        lo = start - first * ow
         for c in range(channels):
-            m[0] = ra[:, :, c]
-            m[1] = rb[:, :, c]
-            np.multiply(m[0], m[0], out=m[2])
-            np.multiply(m[1], m[1], out=m[3])
-            np.multiply(m[0], m[1], out=m[4])
-            _filter_rows(m, win, tmp[:, :rows], f, prod)
-            mx, my, vx, vy, cxy = f
-            # the filter's products are spent: reuse prod for four (rows, ow) maps
-            mx2, my2, mxy, num = prod[: 4 * rows * ow].reshape(4, rows, ow)
-            # vx, vy, cxy: filtered second moments minus the squared means
-            np.subtract(vx, np.multiply(mx, mx, out=mx2), out=vx)
-            np.subtract(vy, np.multiply(my, my, out=my2), out=vy)
-            np.subtract(cxy, np.multiply(mx, my, out=mxy), out=cxy)
-            # ((2*mx*my + C1) * (2*cxy + C2)) / ((mx^2 + my^2 + C1) * (vx + vy + C2))
-            np.multiply(mx, 2.0, out=num)
-            np.multiply(num, my, out=num)
-            np.add(num, _C1, out=num)
-            np.multiply(cxy, 2.0, out=cxy)
-            np.add(cxy, _C2, out=cxy)
-            np.multiply(num, cxy, out=num)
-            den = np.add(mx2, my2, out=mx2)
-            np.add(den, _C1, out=den)
-            np.add(vx, vy, out=vx)
-            np.add(vx, _C2, out=vx)
-            np.multiply(den, vx, out=den)
-            np.divide(num, den, out=num)
-            sums[c].add(r0 * ow, num.reshape(-1))
+            sums[c, i] = np.add.reduce(smap[c].reshape(-1)[lo : lo + size])
 
-    starts = range(0, oh, stripe)
-    # per thread: maps holds x, y, x*x, y*y and x*y over one stripe plus its
-    # halo rows; tmp the vertical pass, filt the filtered maps
+    # per thread: maps holds x, y, x*x, y*y and x*y over one pass plus its
+    # halo rows; tmp the vertical pass, filt the filtered maps, smap the
+    # unit's rows of the SSIM map
+    pass_rows = min(unit_rows, 2 * stripe - 1)
     buffers = [
         (
-            np.empty((5, stripe + halo, w)),
-            np.empty((5, stripe, w)),
-            np.empty((5, stripe, ow)),
-            np.empty(5 * stripe * w),
+            np.empty((5, pass_rows + halo, w)),
+            np.empty((5, pass_rows, w)),
+            np.empty((5, pass_rows, ow)),
+            np.empty(5 * pass_rows * w),
+            np.empty((channels, unit_rows, ow)),
         )
-        for _ in range(min(tensor_core.CPU_THREADS, len(starts)))
+        for _ in range(min(tensor_core.CPU_THREADS, len(units)))
     ]
-    tensor_core._share_work(starts, run_stripe, buffers)
-    return float(np.mean([s.total() / (oh * ow) for s in sums]))
+    tensor_core._share_work(enumerate(units), run_unit, buffers)
+    unit_sums = iter(sums.T)
+    totals = _sum_tree(0, n, budget, lambda start, size: next(unit_sums))  # one per channel
+    return float(np.mean(totals / n))
 
 
 def _image_mean(img) -> float:

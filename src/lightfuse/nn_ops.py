@@ -42,12 +42,10 @@ training pins its loss sums the same way (training._diff), and its
 backward walk hands the kernels C-ordered copies of the activations they
 read, one per activation (training._backward).
 
-op_backward runs the convolutions' backward through their private steps
-(_depthwise_grads, _pointwise_grads), which can skip dx: the first kernel
-of a branch needs none, as the network input takes no gradient. The public
-depthwise_backward and pointwise_backward wrap the same steps, so per-
-function traces of a training walk charge the convolutions' backward time
-to the walk's caller, training.loss_and_grads.
+depthwise_backward and pointwise_backward take need_dx=False to skip dx:
+the first kernel of a branch needs none, as the network input takes no
+gradient. op_backward calls them through this module's globals, so per-
+function traces of a training walk see each backward kernel.
 """
 
 from dataclasses import dataclass, replace
@@ -248,13 +246,8 @@ def add(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.add(a, b, out=out)
 
 
-def pointwise_backward(x, kern: PointwiseKernel, grad):
-    """Gradients of pointwise_forward: returns (dx, dweights, dbias)."""
-    return _pointwise_grads(x, kern, grad, True)
-
-
-def _pointwise_grads(x, kern: PointwiseKernel, grad, need_dx: bool):
-    """pointwise_backward, with dx None unless need_dx."""
+def pointwise_backward(x, kern: PointwiseKernel, grad, need_dx: bool = True):
+    """Gradients of pointwise_forward: returns (dx, dweights, dbias); dx is None unless need_dx."""
     if grad.shape != x.shape[:-1] + (kern.out_channels,):
         raise ValueError("upstream gradient shape mismatch")
     x2 = np.ascontiguousarray(x.reshape(-1, kern.in_channels))
@@ -265,16 +258,11 @@ def _pointwise_grads(x, kern: PointwiseKernel, grad, need_dx: bool):
     return dx, dw, db
 
 
-def depthwise_backward(x, kern: DepthwiseKernel, grad):
+def depthwise_backward(x, kern: DepthwiseKernel, grad, need_dx: bool = True):
     """Gradients of depthwise_forward: returns (dx, dweights, dbias).
 
-    dbias is None for bias-free kernels.
+    dx is None unless need_dx, dbias None for bias-free kernels.
     """
-    return _depthwise_grads(x, kern, grad, True)
-
-
-def _depthwise_grads(x, kern: DepthwiseKernel, grad, need_dx: bool):
-    """depthwise_backward, with dx None unless need_dx."""
     h, w = x.shape[:2]
     s = kern.stride
     k = kern.k
@@ -363,13 +351,14 @@ def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True) -> tu
 
     The parameter gradients are (dweights, dbias), or (dweights,) for a
     bias-free depthwise kernel, and () for the parameter-free ops. With
-    need_dx False a kernel's dx is not computed and comes back None.
+    need_dx False a kernel's dx is not computed and comes back None. The
+    kernels are called through this module's globals, as in op_forward.
     """
     if isinstance(op, DepthwiseKernel):
-        dx, dw, db = _depthwise_grads(x, op, grad, need_dx)
+        dx, dw, db = depthwise_backward(x, op, grad, need_dx=need_dx)
         return dx, (dw,) if op.bias is None else (dw, db)
     if isinstance(op, PointwiseKernel):
-        dx, dw, db = _pointwise_grads(x, op, grad, need_dx)
+        dx, dw, db = pointwise_backward(x, op, grad, need_dx=need_dx)
         return dx, (dw, db)
     if op == "relu":
         return relu_backward(x, grad), ()

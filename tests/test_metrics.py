@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -243,8 +244,10 @@ def assert_matches_oracles(a, b):
 )
 @example(h=11, w=11, kind="random", seed=0, budget=metrics.SSIM_STRIPE_PIXELS)
 @example(h=90, w=90, kind="random", seed=1, budget=1)
+@example(h=13, w=53, kind="random", seed=2, budget=1)  # 129 values in units of 64 + 65
+@example(h=18, w=27, kind="random", seed=3, budget=1)  # 136 values in units of 64 + 72
 def test_ssim_and_psnr_equal_oracles(h, w, kind, seed, budget):
-    # small budgets split even these sizes into many stripes, down to one row
+    # small budgets split even these sizes into many units, down to a leaf
     a, b = image_pair(h, w, kind, seed)
     with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget):
         assert_matches_oracles(a, b)
@@ -276,6 +279,14 @@ _STRIPE_W = metrics.SSIM_STRIPE_PIXELS // _STRIPE
         (26, 1024),
         (27, 1024),
         (14, 4097),
+        # a unit is a node of the flat map's sum tree of at most (stripe + 10)
+        # rows of values, 18 x 1526 at W=1536, so the cases above are one unit
+        (18, 26),  # 128 values: one leaf
+        (13, 53),  # 129 values: one unit whose reduce splits 64 + 65
+        (18, 27),  # 136 values: one unit whose reduce splits 64 + 72
+        (10 + 19, _STRIPE_W),  # two units, the edge mid-row: 14496 + 14498 values
+        (10 + 24, _STRIPE_W),  # two units, the edge on a row edge: 18312 = 12 rows
+        (11, 4097),  # a one-row map
     ],
 )
 def test_stripe_boundaries_at_the_module_budget_equal_oracles(h, w):
@@ -285,12 +296,12 @@ def test_stripe_boundaries_at_the_module_budget_equal_oracles(h, w):
 
 
 def threads(n):
-    """Share ssim's stripes among n threads, the calling thread included."""
+    """Share ssim's units among n threads, the calling thread included."""
     return mock.patch.object(tensor_core, "CPU_THREADS", n)
 
 
 def finishing_in_order(order_seed):
-    """A _share_work that hands out ssim's stripes in a shuffled order."""
+    """A _share_work that hands out ssim's units in a shuffled order."""
     share = tensor_core._share_work
 
     def shuffled(units, *args):
@@ -328,28 +339,29 @@ def test_ssim_equals_the_whole_map_oracle_on_any_threads_and_order(h, w, seed, b
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 5000),
-    cuts=st.lists(st.integers(1, 4999), max_size=40),
-    order_seed=st.integers(0, 2**16),
+    budget=st.one_of(st.integers(1, metrics._SUM_LEAF), st.integers(metrics._SUM_LEAF + 1, 6000)),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=129, cuts=list(range(1, 129)), order_seed=1, seed=0)  # a leaf in one-element parts
-def test_tree_sum_of_pieces_in_any_order_equals_numpy_reduce(n, cuts, order_seed, seed):
+@example(n=129, budget=1, seed=0)  # the first split: 64 + 65
+@example(n=136, budget=1, seed=0)  # 64 + 72
+@example(n=5000, budget=129, seed=0)  # down to the leaves
+def test_sum_tree_units_tile_the_array_and_add_up_to_numpy_reduce(n, budget, seed):
     rng = np.random.default_rng(seed)
     flat = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-    bounds = sorted({0, n, *(c for c in cuts if c < n)})
-    pieces = list(zip(bounds[:-1], bounds[1:]))
-    random.Random(order_seed).shuffle(pieces)
-    tree = metrics._TreeSum(n)
-    for lo, hi in pieces:
-        tree.add(lo, flat[lo:hi].copy())
-    assert tree.total() == float(np.add.reduce(flat))
-    assert tree.total() / n == flat.mean()
-    assert tree._parts == {} and list(tree._sums) == [(0, n)]
+    units = metrics._sum_tree(0, n, budget, lambda start, size: [(start, size)])
+    assert [start for start, _ in units] == [0, *itertools.accumulate(size for _, size in units[:-1])]
+    assert sum(size for _, size in units) == n
+    assert all(0 < size <= max(budget, metrics._SUM_LEAF) for _, size in units)
+    sums = iter([np.add.reduce(flat[start : start + size]) for start, size in units])
+    total = metrics._sum_tree(0, n, budget, lambda start, size: next(sums))
+    assert total == np.add.reduce(flat)
+    assert total / n == flat.mean()
+    assert next(sums, None) is None
 
 
 def test_ssim_on_more_threads_than_cpus_equals_the_oracle():
-    # 8 threads and a short switch interval interleave the stripes' tree
-    # sums as much as they can; a lost node sum or leaf part fails here
+    # 8 threads and a short switch interval interleave the units as much as
+    # they can; a unit sum lost or written to another unit's slot fails here
     a, b = image_pair(300, 97, "random", 18)
     expected = oracle_ssim(a, b)
     interval = sys.getswitchinterval()
@@ -375,7 +387,7 @@ def on_worker(record=None, boom=None):
     """A _filter_rows that lets a worker thread make the first call.
 
     The calling thread's first call waits until a worker has made one, so a
-    worker is sure to run a stripe. record(on_caller) runs on every call;
+    worker is sure to run a unit. record(on_caller) runs on every call;
     with `boom`, the worker's first call raises it. Returns (patcher, event
     set after that call).
     """
@@ -387,7 +399,7 @@ def on_worker(record=None, boom=None):
         if record is not None:
             record(on_caller)
         if on_caller:
-            assert done.wait(10), "no worker thread ran a stripe"
+            assert done.wait(10), "no worker thread ran a unit"
             return kernel(*args)
         with lock:
             calls[0] += 1
@@ -465,11 +477,11 @@ def _ssim_peak(a, b):
         tracemalloc.stop()
 
 
-# W=64: whole 192-row stripes, 4 at H=778 and 16 at H=3082, so every
-# thread works on stripes of one size at both heights. The (H-10) x (W-10)
-# float64 map of the seed would add 1.2 MB between them; what may grow is
-# the node sums _TreeSum holds, a few per tree level, and the peak moves by
-# a few KB with the threads' timing.
+# W=64: 192-row stripes, so the units are tree nodes of 384 whole rows, 2 at
+# H=778 and 8 at H=3082, and every thread works on units of one size at both
+# heights. The (H-10) x (W-10) float64 map of the seed would add 1.2 MB
+# between them; what may grow is the (3, units) array of node sums and the
+# list of units, and the peak moves by a few KB with the threads' timing.
 _HEIGHTS = (10 + 4 * 192, 10 + 16 * 192)
 
 

@@ -28,7 +28,7 @@ def test_digests_print_every_call_of_train_toy(capsys):
 
 
 def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
-    from lightfuse import model
+    from lightfuse import metrics, model
 
     digests = load_digests()
     assert digests.main(["--workload", "library", "3"]) == 0
@@ -43,11 +43,13 @@ def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
                 f"library seed=3 {graph.name} loss_and_grads extractor={extractor} out=({sha}) {grads}"
                 r" report=LossReport\(l_mse=.+, l_perceptual=.+, l_total=.+\)"
             )
+    a, b = digests.score_pair(3)  # the scores' full-precision reprs, last bits included
+    want.append(re.escape(f"library seed=3 scores psnr={metrics.psnr(a, b)!r} ssim={metrics.ssim(a, b)!r}"))
     assert len(lines) == len(want)
     matches = [re.fullmatch(pattern, line) for pattern, line in zip(want, lines)]
     assert all(matches)
     # loss_and_grads returns the same output that forward computes
-    assert len({m.group(1) for m in matches[:4]}) == 1 and len({m.group(1) for m in matches[4:]}) == 1
+    assert len({m.group(1) for m in matches[:4]}) == 1 and len({m.group(1) for m in matches[4:8]}) == 1
     assert " l_perceptual=0.0," in lines[1] and " l_perceptual=0.0," not in lines[2]
 
 

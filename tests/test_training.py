@@ -295,6 +295,33 @@ def test_backward_runs_no_forward_op(graph):
 
 
 @pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)
+def test_backward_walk_calls_the_public_kernels_skipping_dx_on_each_branchs_first(graph):
+    weights = init_weights(graph, 0)
+    u, o, label = rand((16, 16, 3), 1, 0, 1), rand((16, 16, 3), 2, 0, 1), rand((16, 16, 3), 3, 0, 1)
+    x = np.concatenate((u, o), axis=2)
+    expected = []  # (kernel type, need_dx) in walk order
+    for tape in training._forward_cached(graph, weights, x)[2]:
+        for i, (_, ops, _) in reversed(list(enumerate(tape))):
+            for j in reversed(range(len(ops))):
+                if isinstance(ops[j], (nn_ops.DepthwiseKernel, nn_ops.PointwiseKernel)):
+                    expected.append((type(ops[j]), i > 0 or j > 0))
+    seen = []
+
+    def recording(kernel):
+        def call(x, kern, grad, need_dx=True):
+            seen.append((type(kern), need_dx))
+            return kernel(x, kern, grad, need_dx=need_dx)
+
+        return call
+
+    with mock.patch.object(nn_ops, "depthwise_backward", recording(nn_ops.depthwise_backward)), \
+            mock.patch.object(nn_ops, "pointwise_backward", recording(nn_ops.pointwise_backward)):
+        loss_and_grads(graph, weights, u, o, label)
+    assert seen == expected
+    assert [need_dx for _, need_dx in seen].count(False) == len(graph.branches)
+
+
+@pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)
 def test_backward_walk_reads_one_c_ordered_copy_per_activation(graph):
     weights = init_weights(graph, 0)
     x = np.concatenate([rand((16, 16, 3), 1), rand((16, 16, 3), 2)], axis=2)

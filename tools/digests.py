@@ -13,7 +13,10 @@ workload calls the package instead, on inputs drawn from the seed: one
 line for model.forward, and one for training.loss_and_grads on each graph
 (lightfuse, tcnn) with each extractor (none, IdentityExtractor,
 RandomConvExtractor(seed)), giving the SHA-256 of the output and of every
-gradient in graph_param_entries order, and the LossReport's repr. The
+gradient in graph_param_entries order, and the LossReport's repr; then one
+line with the full-precision repr of metrics.psnr and metrics.ssim on a
+uint8 pair drawn from the seed (`score_pair`), whose last bits `eval`'s
+three decimals hide. The
 `faults` workload runs one CLI call per FAULT_CASES entry, each in a fresh
 directory of small intact inputs with one file replaced by a fault, and
 prints its exit code, its last stderr line and the directory listing
@@ -39,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fuse_large", "fuse_burst", "train_toy", "library", "faults")
 LIBRARY_SIZE = (56, 72)  # (H, W): multiples of 8, not square
+SCORE_SIZE = (300, 1027)  # (H, W): SSIM's map spans many work units and both threads
 # (command, file, fault) of each faults case: input faults on an image of
 # fuse and of eval, weight faults, then output faults on fuse's image and
 # train's weights and curve
@@ -69,6 +73,14 @@ def array_sha256(a) -> str:
     return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
 
 
+def score_pair(seed):
+    """A uint8 (H, W, 3) image of SCORE_SIZE and a noisy copy of it, drawn from the seed."""
+    rng = np.random.default_rng([seed, 1])
+    a = rng.integers(0, 256, SCORE_SIZE + (3,), dtype=np.uint8)
+    noise = rng.integers(-24, 25, a.shape)
+    return a, np.clip(a + noise, 0, 255).astype(np.uint8)
+
+
 def library_lines(lf, seed):
     rng = np.random.default_rng(seed)
     under, over, label = (rng.uniform(-1, 1, LIBRARY_SIZE + (3,)).astype(np.float32) for _ in range(3))
@@ -89,6 +101,8 @@ def library_lines(lf, seed):
             fields = [f"out={array_sha256(out)}"]
             fields += [f"{key}={array_sha256(grads[key])}" for key, _, _ in lf.model.graph_param_entries(graph)]
             yield f"library seed={seed} {graph.name} loss_and_grads extractor={name} {' '.join(fields)} report={report!r}"
+    a, b = score_pair(seed)
+    yield f"library seed={seed} scores psnr={lf.metrics.psnr(a, b)!r} ssim={lf.metrics.ssim(a, b)!r}"
 
 
 def listing(root) -> str:
