@@ -1,63 +1,55 @@
-"""Tile-fused execution of the detail branch plus an off-chip traffic model.
+"""Fused execution of the detail branch plus an off-chip traffic model.
 
 Both branches come from model.build_lightfuse(), the one graph this module
 runs. The executor reads its chain from the detail branch: each 1x1 conv
 there, with the ReLU after it, is one step, and the kernels come from
-model.layer_kernels, which checks every tensor against the graph. The chain
-is evaluated tile by tile: an input tile is loaded once, carried through
-every step in on-chip buffers, and only the final features are written back.
-Because 1x1 convs have no spatial extent, tiles never overlap and edge tiles
-are simply the residual rectangles, so any tiling is bit-identical to the
-layer-by-layer reference path (both run the same fixed-order kernel).
+model.layer_kernels, which checks every tensor against the graph. The
+modeled accelerator runs the chain tile by tile (fused-layer tiling): an
+S x S input tile is loaded once, carried through every step in on-chip
+buffers, and only the final features are written back. Because 1x1 convs
+have no spatial extent, any split of the pixels gives the bits of the
+layer-by-layer reference path (both run the same fixed-order kernel), so S
+sizes the traffic model below and nothing else.
 
-On the host, whole tiles that sit side by side in one tile row are run
-together: as many as fit in nn_ops.CHUNK_PIXELS pixels (at least one) are
-gathered channels-first into one buffer and carried through the chain in
-place. Grouping is a numpy batching device only; it changes neither the
-output bits nor the traffic model below. The output is channel-planar, as
-nn_ops stores activations, and fuse_images builds its stripes planar too,
-so gathering a group and writing it back copy whole rows of each channel.
+On the host the chain runs in flat blocks of at most nn_ops.CHUNK_PIXELS
+pixels in row-major order, whatever S is, by pointwise_forward's rule: a
+block is read straight from the input's planes where they are contiguous
+(fuse_images builds its stripes channel-planar) and gathered otherwise. It
+is carried through the three steps in one thread's buffers and written into
+the output's planes, which are channel-planar, as nn_ops stores activations.
 
-The groups are shared out among tensor_core.CPU_THREADS threads, one per
-CPU this process may use, by tensor_core._share_work, which metrics.ssim
-uses for its row stripes too. The calling thread starts the others, which
-claim groups one at a time from a shared iterator, runs its own `alongside`
-work (a stripe's global branch), then claims groups too. numpy's ufuncs
-and copies release the GIL, so the pinned-order arithmetic runs on every
-CPU. Each
-thread owns one set of group buffers, allocated by the caller, and writes
-its groups' disjoint rows and columns of the output; which thread runs a
-group changes no bit. Worker threads call only the pinned-order kernel and
-numpy, never a function in a module's __all__: a traced run, which wraps
-those functions, keeps seeing one thread. Every worker is joined before
-run_detailnet_fused returns or raises, and an exception in a worker is
-raised on the calling thread. With one CPU no thread is started.
+The blocks are shared out among tensor_core.CPU_THREADS threads by
+tensor_core._share_work, which metrics.ssim uses too: the calling thread
+starts the others, runs its `alongside` work (a stripe's global branch),
+then claims blocks too. numpy's ufuncs and copies release the GIL, so the
+pinned-order arithmetic runs on every CPU. Each thread owns one set of
+block buffers and writes its blocks' disjoint pixels of the output, so
+which thread runs a block changes no bit. Worker threads call only the
+pinned-order kernel and numpy, never a function in a module's __all__: a
+traced run, which wraps those functions, keeps seeing one thread.
 
-Traffic is a cost model, not a measurement: a closed form of (H, W, s)
+Traffic is a cost model, not a measurement: a closed form of (H, W, S)
 computed once per call, not counted by the executors. Fused, the input is
 read once and the output written once; unfused, every layer reads its input
 and writes its output. Fused peak on-chip bytes model the accelerator's
-per-tile working set - buffers for a full s x s tile at the input width plus
-the two widest intermediate widths - not numpy's group buffers. The unfused
+per-tile working set - buffers for a full S x S tile at the input width plus
+the two widest intermediate widths - not numpy's block buffers. The unfused
 schedule streams one pixel at a time per layer: the widest (in + out) pair.
 
 A whole forward pass (fused_forward, and fuse_images for 8-bit images) runs
-in horizontal stripes of output rows, so no full-size intermediate exists.
-Stripe heights are multiples of lcm(8, s), and a residual shorter than s
-joins the stripe above, so every stripe is a valid run_detailnet_fused input
-and the stripes' tile grids add up to the whole image's. The global branch
-of a stripe starting at row r0 > 0 runs on input rows [r0 - 8, r1): a
-stride-2 3x3 layer reads one row above each output row's centre, so only
-output row 0 of g1, g2 and g3 sees the window's zero padding, and that one
-g3 row is the 8 output rows dropped after the upsampling. The bottom
-padding of an even-height input is never read. Every kept row is therefore
-the one model.forward computes. Stripes run in row order; reading the
-input rows, the merge, the finiteness check and writing the output rows
-stay on the calling thread, so the first non-finite stripe is the one
-reported.
+in horizontal stripes of output rows, in units of 8 rows, so no full-size
+intermediate exists. Each stripe's detail branch is one run_detailnet_fused
+call, its tile clamped to the stripe's height. The global branch of a stripe starting at row r0 > 0 runs on input
+rows [r0 - 8, r1): a stride-2 3x3 layer reads one row above each output
+row's centre, so only output row 0 of g1, g2 and g3 sees the window's zero
+padding, and that one g3 row is the 8 output rows dropped after the
+upsampling. The bottom padding of an even-height input is never read.
+Every kept row is therefore the one model.forward computes. Stripes run in
+row order; reading the input rows, the merge, the finiteness check and
+writing the output rows stay on the calling thread, so the first non-finite
+stripe is the one reported.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +74,12 @@ _WIDTHS = (_CHAIN[0].in_channels,) + tuple(layer.out_channels for layer in _CHAI
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 
-# Output pixels per forward stripe (padded width times rows, at least
-# lcm(8, s) rows): 64 rows at W=1032, where the stripe buffers of a fuse
-# trace at ~8.1 MiB on one thread and ~10.3 MiB on two. On a 1021x1027
-# fuse + eval loop (2-vCPU x86 host, two fuse threads) throughput stayed
-# within noise from 65536 to 196608, while peak RSS went 52 MB at 65536,
-# 54 MB here (the one-thread loop's 55 MB at 131072), 57 MB at 131072 and
-# 62 MB at 196608.
-FUSE_STRIPE_PIXELS = 98304
-
+# Output pixels per forward stripe (padded width times rows, in units of 8
+# rows, at least one): 64 rows at W=1032. Swept on perfbench fuse_large
+# (2-vCPU x86 host, two fuse threads): peak RSS 44.0 MB at 49152, 44.9 at
+# 65536, 45.8 here, 47.7 at 98304 and 50.5 at 131072, while task_p25_s moved
+# more between runs than between budgets (README, "Tile-fused execution").
+FUSE_STRIPE_PIXELS = 73728
 
 
 @dataclass(frozen=True)
@@ -133,58 +122,59 @@ def _fused_traffic(h: int, w: int, s: int) -> TrafficReport:
 
 
 def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> tuple:
-    """Every 1x1 layer of the chain per tile before the next tile is touched.
+    """The detail chain in flat pixel blocks, reported as run in S x S tiles.
 
-    Returns (output, TrafficReport). Off-chip traffic reads the input once
-    and writes the output once regardless of tile size; intermediates stay
-    on chip. Each layer computes in result_type(its input, its weights), as
-    the unfused path does, so a float64 input stays float64.
-
-    The tile groups run on tensor_core.CPU_THREADS threads. `alongside`, if given, is
-    called with no arguments on the calling thread once the other threads
-    have started, before the caller takes groups itself. Every thread is
-    joined before this returns or raises. An exception on the calling
-    thread is raised as it is; otherwise the first exception of a worker is
-    raised here.
+    Returns (output, TrafficReport); the output is (H, W, 3) and
+    channel-planar. The tile side S, 1 to min(H, W), sizes the report only:
+    off-chip traffic reads the input once and writes the output once, and
+    intermediates stay on chip. Each layer computes in result_type(its
+    input, its weights), as the unfused path does, so a float64 input stays
+    float64. `alongside` and exceptions follow tensor_core._share_work:
+    every thread is joined before this returns or raises, and a worker's
+    first exception is raised here.
     """
     _check_detail_input(x)
     h, w = x.shape[:2]
-    s = _tile_side(tile, h, w)
+    traffic = _fused_traffic(h, w, _tile_side(tile, h, w))
     kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
     chans = _WIDTHS
     dtypes = [x.dtype]
     for kern in kernels:
         dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
-    # A group is whole tiles along one tile row; group edges fall on tile edges.
-    group_w = min(w, s * max(1, nn_ops.CHUNK_PIXELS // (s * s)))
-    groups = [
-        (r0, min(r0 + s, h), c0, min(c0 + group_w, w))
-        for r0 in range(0, h, s)
-        for c0 in range(0, w, group_w)
-    ]
-    cap = min(s, h) * group_w
-    out = np.empty((chans[-1], h, w), dtype=dtypes[-1])
+    npix = h * w
+    xt = x.reshape(npix, chans[0]).T  # (6, P): x's own planes when x is planar
+    planar = xt.strides[1] == xt.itemsize
+    chunk = min(nn_ops.CHUNK_PIXELS, npix)
+    out = np.empty((chans[-1], npix), dtype=dtypes[-1])
 
-    def run_group(group, acts, scratch):
-        r0, r1, c0, c1 = group
-        rows, cols = r1 - r0, c1 - c0
-        t = [buf[: c * rows * cols].reshape(c, rows * cols) for buf, c in zip(acts, chans)]
-        t[0].reshape(chans[0], rows, cols)[...] = x[r0:r1, c0:c1].transpose(2, 0, 1)
+    def run_block(p0, x_buf, acts, scratch):
+        p1 = min(p0 + chunk, npix)
+        c = p1 - p0
+        xc = xt[:, p0:p1]
+        if not planar:
+            xc = x_buf[: chans[0] * c].reshape(chans[0], c)
+            xc[...] = xt[:, p0:p1]
+        # every step, the last too, writes the thread's own buffers, and the
+        # result is copied into out's planes: planes a multiple of 4 KiB
+        # apart slow the adds, as in nn_ops.pointwise_forward
+        t = [xc] + [buf[: n * c].reshape(n, c) for buf, n in zip(acts, chans[1:])]
         for i, kern in enumerate(kernels):
             prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
             nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
             np.maximum(t[i + 1], 0.0, out=t[i + 1])  # nn_ops.relu's ufunc
-        out[:, r0:r1, c0:c1] = t[-1].reshape(chans[-1], rows, cols)
+        out[:, p0:p1] = t[-1]
 
+    blocks = range(0, npix, chunk)
     buffers = [
         (
-            [np.empty(c * cap, dtype=d) for c, d in zip(chans, dtypes)],
-            [np.empty(c * cap, dtype=d) for c, d in zip(chans[1:], dtypes[1:])],
+            None if planar else np.empty(chans[0] * chunk, dtype=x.dtype),
+            [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:], dtypes[1:])],
+            [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:], dtypes[1:])],
         )
-        for _ in range(min(tensor_core.CPU_THREADS, len(groups)))
+        for _ in range(min(tensor_core.CPU_THREADS, len(blocks)))
     ]
-    tensor_core._share_work(groups, run_group, buffers, alongside)
-    return out.transpose(1, 2, 0), _fused_traffic(h, w, s)
+    tensor_core._share_work(blocks, run_block, buffers, alongside)
+    return out.reshape(chans[-1], h, w).transpose(1, 2, 0), traffic
 
 
 def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
@@ -200,14 +190,11 @@ def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
     return model.run_branch(_DETAIL, weights, x), traffic
 
 
-def _stripes(h: int, w: int, s: int):
+def _stripes(h: int, w: int):
     """[r0, r1) output-row ranges of the forward stripes of an h x w input."""
-    unit = math.lcm(_GRAPH.spatial_divisor, s)
+    unit = _GRAPH.spatial_divisor
     step = unit * max(1, FUSE_STRIPE_PIXELS // (unit * w))
-    bounds = list(range(0, h, step)) + [h]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] < s:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return [(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
 
 
 def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> TrafficReport:
@@ -219,12 +206,13 @@ def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> Traf
     """
     s = _tile_side(tile, h, w)
     halo = _GRAPH.spatial_divisor  # one g3 row
-    for r0, r1 in _stripes(h, w, s):
+    for r0, r1 in _stripes(h, w):
         a = max(0, r0 - halo)
         x = rows_in(a, r1)
         g_out = []
+        # a stripe shorter than the tile is reported as one tile of its height
         d_out, _ = run_detailnet_fused(
-            x[r0 - a :], weights, s,
+            x[r0 - a :], weights, min(s, r1 - r0),
             alongside=lambda: g_out.append(model.run_branch(_GLOBAL, weights, x)),
         )
         del x
@@ -237,7 +225,7 @@ def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> Traf
 
 
 def fused_forward(weights: dict, under, over, tile) -> tuple:
-    """Full forward pass in stripes, the detail branch run through the tiled executor.
+    """Full forward pass in stripes, the detail branch run through the fused executor.
 
     Returns (output, TrafficReport). Bit-identical to
     model.forward(model.build_lightfuse(), ...).

@@ -25,7 +25,7 @@ before its add - so every map value is the one whole-image filtering
 gives.
 
 The units are shared out by tensor_core._share_work among
-tensor_core.CPU_THREADS threads (the CPU count the tile executor uses
+tensor_core.CPU_THREADS threads (the CPU count the fused executor uses
 too), each with its own buffers, sized by the width alone and allocated by
 the caller. Worker threads call numpy, _filter_rows and a reader's row
 reads, never a function in a module's __all__, so a traced run keeps

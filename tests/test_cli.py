@@ -333,6 +333,23 @@ def test_train_skips_a_directory_named_exposure(tmp_path, capsys):
     assert err == f"warning: {bad}: not readable (Is a directory), skipped\n"
 
 
+def test_train_takes_an_upper_case_ppm_suffix(tmp_path):
+    # pair's rule: a .ppm suffix in any case; a.PPM is the darkest exposure.
+    # The label is excluded in any case too: a black LABEL.PPM, which would
+    # be the darkest exposure, is never read as one.
+    make_scene(tmp_path / "lower" / "scene1", seed=24)
+    make_scene(tmp_path / "upper" / "scene1", seed=24)
+    scene = tmp_path / "upper" / "scene1"
+    (scene / "a.ppm").rename(scene / "a.PPM")
+    write_ppm(scene / "LABEL.PPM", np.zeros((64, 64, 3), dtype=np.uint8))
+    outputs = []
+    for data in ("lower", "upper"):
+        out = tmp_path / f"{data}.lfw"
+        assert cli.main(["train", str(tmp_path / data), str(out), "--steps", "2", "--seed", "3"]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{data}.lfw.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_train_missing_directory(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope"), str(tmp_path / "w.lfw")]) == 2
 
@@ -505,7 +522,7 @@ def test_fuse_nan_in_the_last_stripe_fails_without_writing(tmp_path, capsys):
     write_ppm(tmp_path / "u.ppm", under)
     write_ppm(tmp_path / "o.ppm", rand_img(64, 16, 12))
     listing = sorted(tmp_path.iterdir())
-    # 8-row stripes at tile size 8: rows 60..63 fall in the last of eight
+    # 8-row stripes: rows 60..63 fall in the last of eight
     with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", 8 * 16), \
             mock.patch.object(fusion, "run_detailnet_fused", wraps=fusion.run_detailnet_fused) as detail:
         code = cli.main([

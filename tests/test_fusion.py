@@ -110,8 +110,13 @@ def forward_with_detail_output(graph, weights, under, over):
 
 
 def threads(n):
-    """Run the tiled executor on n threads, the calling thread included."""
+    """Run the fused executor on n threads, the calling thread included."""
     return mock.patch.object(tensor_core, "CPU_THREADS", n)
+
+
+def blocks(pixels):
+    """Run the fused executor in blocks of at most `pixels` pixels."""
+    return mock.patch.object(nn_ops, "CHUNK_PIXELS", pixels)
 
 
 @st.composite
@@ -121,9 +126,10 @@ def shapes_and_tiles(draw):
     return h, w, draw(st.integers(1, min(h, w))), draw(st.integers(0, 2**16)), draw(st.integers(1, 4))
 
 
-# 7: residual tiles; 32: 128-px groups leave a 32-px residual group on W=160;
-# 65: one tile per group (65*65 > CHUNK_PIXELS) with residual tiles both ways;
-# (40, 16, 1): 80 groups on 4 threads; (160, 136, 65): fewer groups than threads
+# 4,096-px blocks: (160, 160): block edges mid-row (25.6 rows) and a short
+# 1,024-px last block; (152, 160): a short 3,840-px last block on 3 threads;
+# (160, 136): six blocks on 4 threads; (40, 16): one 640-px block, fewer
+# blocks than threads. The tiles (7, 32, 65, 1) change only the report.
 @example(case=(160, 160, 7, 1, 2))
 @example(case=(152, 160, 32, 2, 3))
 @example(case=(160, 136, 65, 3, 4))
@@ -335,12 +341,15 @@ def images_tiles_budgets(draw):
             draw(st.integers(0, 2**16)), draw(st.integers(1, 4)))
 
 
-# (40, 16, 16, 1): 16-row stripes leave an 8-row residual that joins the
-# stripe above; (200, 200, 200, 1): one stripe, tile as large as the image,
-# one group for four threads; (1, 1, 1, 1): 7 rows and columns of edge padding
+# (40, 16, 16, 1): 8-row stripes, shorter than the 16-px tile; (200, 200,
+# 200, 1): 25 stripes of 8 rows under a tile as large as the image, one
+# 1,600-px block each for four threads; (1, 1, 1, 1): 7 rows and columns of
+# edge padding; (199, 200, 8, 98304): one 200-row stripe of ten 4,096-px
+# blocks, edges mid-row and a short 3,136-px last block
 @example(case=(40, 16, 16, 1, 0, 2))
 @example(case=(200, 200, 200, 1, 1, 4))
 @example(case=(1, 1, 1, 1, 2, 1))
+@example(case=(199, 200, 8, 98304, 4, 3))
 @example(case=(197, 61, 3, 500, 3, 3))
 @given(case=images_tiles_budgets())
 @settings(max_examples=30, deadline=None)
@@ -353,7 +362,6 @@ def test_striped_fuse_equals_whole_image_forward(case):
     over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     u, o, reference = edge_padded_reference(graph, weights, under, over)
     _, whole_traffic = run_detailnet_fused(np.concatenate((u, o), axis=2), weights, s)
-    hp, wp = u.shape[:2]
     runs = {}
     for n in sorted({1, n_threads}):
         with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget), threads(n):
@@ -368,12 +376,10 @@ def test_striped_fuse_equals_whole_image_forward(case):
                 tensor_core.PpmWriter(paths[2], under.shape) as out:
             _, streamed_traffic = fusion.fuse_images(weights, u_rows, o_rows, s, out=out)
         streamed = paths[2].read_bytes()
-    stripe_tiles = sum(len(tile_grid(r1 - r0, wp, s)) for r0, r1 in fusion._stripes(hp, wp, s))
     assert runs[n_threads] == runs[1]
     assert fused.tobytes() == reference.tobytes()
     assert streamed == tensor_core.encode_ppm(reference) and streamed_traffic == traffic
     assert traffic == forward_traffic == whole_traffic
-    assert stripe_tiles == len(tile_grid(hp, wp, s))
     assert forward_out.tobytes() == model.forward(graph, weights, u, o).tobytes()
 
 
@@ -393,13 +399,13 @@ def test_fuse_images_rejects_mismatched_or_non_uint8_pairs(weights):
         fusion.fuse_images(weights, a, a, 4, out=np.zeros((8, 8, 3), dtype=np.float32))
 
 
-def _fuse_peak(weights, h, w):
+def _fuse_peak(weights, h, w, tile=32):
     rng = np.random.default_rng(h)
     under = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     tracemalloc.start()
     try:
-        fusion.fuse_images(weights, under, over, 32)
+        fusion.fuse_images(weights, under, over, tile)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,6 +422,15 @@ def test_fuse_memory_grows_only_by_its_uint8_output_on_two_threads(weights):
     # tracemalloc traces the worker thread's allocations too
     with threads(2):
         test_fuse_memory_grows_only_by_its_uint8_output(weights)
+
+
+def test_fuse_memory_does_not_grow_with_the_tile(weights):
+    # the tile sizes the traffic model only: a tile as large as the image
+    # holds no more than one block's buffers (input, intermediates, products)
+    # beyond what an 8 x 8 tile holds
+    block = nn_ops.CHUNK_PIXELS * (fusion._WIDTHS[0] + 2 * sum(fusion._WIDTHS[1:])) * 4
+    small, large = _fuse_peak(weights, 256, 256, 8), _fuse_peak(weights, 256, 256, 256)
+    assert abs(large - small) <= block
 
 
 # ------------------------------------------------------------------ threads
@@ -443,7 +458,7 @@ def on_worker(n, boom=None):
     """A pointwise_channels_first that lets a worker thread make its first n calls.
 
     The main thread's first call waits until a worker has made them, so a
-    worker is sure to run groups. With `boom`, the worker's n-th call raises it.
+    worker is sure to run blocks. With `boom`, the worker's n-th call raises it.
     Returns (patcher, event set after the n-th worker call).
     """
     kernel = nn_ops.pointwise_channels_first
@@ -451,7 +466,7 @@ def on_worker(n, boom=None):
 
     def patched(*args):
         if threading.current_thread() is threading.main_thread():
-            assert done.wait(10), "no worker thread ran a group"
+            assert done.wait(10), "no worker thread ran a block"
             return kernel(*args)
         with lock:
             calls[0] += 1
@@ -466,7 +481,7 @@ def on_worker(n, boom=None):
 
 
 def entry_points(weights):
-    """The three ways into the tiled executor, on a 64x64 pair at tile 8 (8 groups)."""
+    """The three ways into the fused executor, on a 64x64 pair at tile 8 (8 blocks under blocks(512))."""
     rng = np.random.default_rng(31)
     under8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
     over8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
@@ -484,7 +499,7 @@ def test_worker_exception_surfaces_after_every_thread_is_joined(weights, entry):
     boom = Boom("worker failed")
     before = threading.active_count()
     patch, raised = on_worker(4, boom)
-    with threads(2), patch, pytest.raises(Boom) as caught:
+    with threads(2), blocks(512), patch, pytest.raises(Boom) as caught:
         run()
     assert raised.is_set()
     assert caught.value is boom
@@ -502,7 +517,7 @@ def test_global_branch_exception_surfaces_after_every_thread_is_joined(weights, 
         assert worker_ran.wait(10)
         raise boom
 
-    with threads(2), patch, mock.patch.object(model, "run_branch", failing_global_branch), \
+    with threads(2), blocks(512), patch, mock.patch.object(model, "run_branch", failing_global_branch), \
             pytest.raises(Boom) as caught:
         run()
     assert caught.value is boom
@@ -529,6 +544,7 @@ def test_worker_threads_call_no_public_function(weights):
                 if inspect.isfunction(obj) and obj.__module__ == module.__name__:
                     stack.enter_context(mock.patch.object(module, name, main_thread_only(obj)))
         stack.enter_context(threads(2))
+        stack.enter_context(blocks(512))
         stack.enter_context(patch)
         fused, _ = run()
     assert worker_ran.is_set()
@@ -540,7 +556,7 @@ def test_workers_run_in_the_callers_errstate(weights):
     patch, worker_ran = on_worker(1)
     seen = {}
     caller_ran = threading.Event()
-    with threads(2), patch:
+    with threads(2), blocks(512), patch:
         kernel = nn_ops.pointwise_channels_first
 
         def recording(*args):
@@ -548,7 +564,7 @@ def test_workers_run_in_the_callers_errstate(weights):
             if on_caller:
                 caller_ran.set()
             elif worker_ran.is_set():
-                # the worker's later calls leave groups for the calling thread
+                # the worker's later calls leave blocks for the calling thread
                 caller_ran.wait(10)
             seen[on_caller] = np.geterr()["over"]
             return kernel(*args)
@@ -561,7 +577,7 @@ def test_workers_run_in_the_callers_errstate(weights):
 
 def test_every_group_runs_once_on_more_threads_than_cpus(weights):
     x = detail_input(64, 64, seed=33)
-    expected, _ = run_detailnet_fused(x, weights, 2)  # 32 groups of 2x64
+    expected, _ = run_detailnet_fused(x, weights, 2)
     kernel = nn_ops.pointwise_channels_first
     lock, calls = threading.Lock(), [0]
 
@@ -573,8 +589,8 @@ def test_every_group_runs_once_on_more_threads_than_cpus(weights):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with threads(8), mock.patch.object(nn_ops, "pointwise_channels_first", counting):
-            fused, _ = run_detailnet_fused(x, weights, 2)
+        with threads(8), blocks(128), mock.patch.object(nn_ops, "pointwise_channels_first", counting):
+            fused, _ = run_detailnet_fused(x, weights, 2)  # 32 blocks of 128 pixels
     finally:
         sys.setswitchinterval(interval)
     assert calls[0] == 32 * 3

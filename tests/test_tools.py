@@ -45,9 +45,18 @@ def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
             )
     a, b = digests.score_pair(3)  # the scores' full-precision reprs, last bits included
     want.append(re.escape(f"library seed=3 scores psnr={metrics.psnr(a, b)!r} ssim={metrics.ssim(a, b)!r}"))
+    hp, wp = (-(-side // 8) * 8 for side in digests.SCORE_SIZE)  # the pair padded as fuse pads it
+    assert digests.SCORE_TILES[-1] == min(hp, wp)  # the largest tile of the padded pair
+    for tile in digests.SCORE_TILES:
+        want.append(
+            f"library seed=3 fuse_images tile={tile} out=({sha})"
+            f" mode=fused reads={hp * wp * 24} writes={hp * wp * 12} peak={tile * tile * 280}"
+        )
     assert len(lines) == len(want)
     matches = [re.fullmatch(pattern, line) for pattern, line in zip(want, lines)]
     assert all(matches)
+    # the tile sizes the traffic line only: every tile gives the same bytes
+    assert len({m.group(1) for m in matches[-len(digests.SCORE_TILES):]}) == 1
     # loss_and_grads returns the same output that forward computes
     assert len({m.group(1) for m in matches[:4]}) == 1 and len({m.group(1) for m in matches[4:8]}) == 1
     assert " l_perceptual=0.0," in lines[1] and " l_perceptual=0.0," not in lines[2]

@@ -16,15 +16,18 @@ RandomConvExtractor(seed)), giving the SHA-256 of the output and of every
 gradient in graph_param_entries order, and the LossReport's repr; then one
 line with the full-precision repr of metrics.psnr and metrics.ssim on a
 uint8 pair drawn from the seed (`score_pair`), whose last bits `eval`'s
-three decimals hide. The
-`faults` workload runs one CLI call per FAULT_CASES entry, each in a fresh
-directory of small intact inputs with one file replaced by a fault, and
-prints its exit code, its last stderr line and the directory listing
-after it (see `listing`). Run it on two checkouts (or with --src on each)
-and diff the outputs to check that a change leaves the program's outputs,
-or its fault behaviour, byte for byte the same. perfbench is only read;
-the lightfuse package comes from --src (default: src/ beside this
-script's directory).
+three decimals hide; then one line per tile side S in SCORE_TILES (1, 8
+and the padded pair's shorter side) with the SHA-256 of
+fusion.fuse_images' output on that pair (lightfuse weights as above) and
+its TrafficReport.dump(), so a diff shows whether the tile reaches the
+output bytes. The `faults` workload runs one CLI call per FAULT_CASES
+entry, each in a fresh directory of small intact inputs with one file
+replaced by a fault, and prints its exit code, its last stderr line and
+the directory listing after it (see `listing`). Run it on two checkouts
+(or with --src on each) and diff the outputs to check that a change leaves
+the program's outputs, or its fault behaviour, byte for byte the same.
+perfbench is only read; the lightfuse package comes from --src (default:
+src/ beside this script's directory).
 """
 
 import argparse
@@ -43,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fuse_large", "fuse_burst", "train_toy", "library", "faults")
 LIBRARY_SIZE = (56, 72)  # (H, W): multiples of 8, not square
 SCORE_SIZE = (300, 1027)  # (H, W): SSIM's map spans many work units and both threads
+SCORE_TILES = (1, 8, -(-min(SCORE_SIZE) // 8) * 8)  # the last: the shorter side padded to a multiple of 8
 # (command, file, fault) of each faults case: input faults on an image of
 # fuse and of eval, weight faults, then output faults on fuse's image and
 # train's weights and curve
@@ -89,8 +93,9 @@ def library_lines(lf, seed):
         "identity": lf.training.IdentityExtractor(),
         "random_conv": lf.training.RandomConvExtractor(seed),
     }
+    stores = {}
     for graph in (lf.model.build_lightfuse(), lf.model.build_tcnn()):
-        weights = lf.model.init_weights(graph, seed)
+        stores[graph.name] = weights = lf.model.init_weights(graph, seed)
         for key in sorted(weights):
             if key.endswith(".bias"):  # non-zero biases, so every bias term shows
                 weights[key] = rng.uniform(-0.5, 0.5, weights[key].shape).astype(np.float32)
@@ -103,6 +108,9 @@ def library_lines(lf, seed):
             yield f"library seed={seed} {graph.name} loss_and_grads extractor={name} {' '.join(fields)} report={report!r}"
     a, b = score_pair(seed)
     yield f"library seed={seed} scores psnr={lf.metrics.psnr(a, b)!r} ssim={lf.metrics.ssim(a, b)!r}"
+    for tile in SCORE_TILES:
+        out, traffic = lf.fusion.fuse_images(stores["lightfuse"], a, b, tile)
+        yield f"library seed={seed} fuse_images tile={tile} out={array_sha256(out)} {traffic.dump()}"
 
 
 def listing(root) -> str:
