@@ -11,22 +11,13 @@ have no spatial extent, any split of the pixels gives the bits of the
 layer-by-layer reference path (both run the same fixed-order kernel), so S
 sizes the traffic model below and nothing else.
 
-On the host the chain runs in flat blocks of at most nn_ops.CHUNK_PIXELS
-pixels in row-major order, whatever S is, by pointwise_forward's rule: a
-block is read straight from the input's planes where they are contiguous
-(fuse_images builds its stripes channel-planar) and gathered otherwise. It
-is carried through the three steps in one thread's buffers and written into
-the output's planes, which are channel-planar, as nn_ops stores activations.
-
-The blocks are shared out among tensor_core.CPU_THREADS threads by
-tensor_core._share_work, which metrics.ssim uses too: the calling thread
-starts the others, runs its `alongside` work (a stripe's global branch),
-then claims blocks too. numpy's ufuncs and copies release the GIL, so the
-pinned-order arithmetic runs on every CPU. Each thread owns one set of
-block buffers and writes its blocks' disjoint pixels of the output, so
-which thread runs a block changes no bit. Worker threads call only the
-pinned-order kernel and numpy, never a function in a module's __all__: a
-traced run, which wraps those functions, keeps seeing one thread.
+On the host the chain runs through nn_ops._run_chain, the one block loop of
+every 1x1 chain, which pointwise_forward runs one layer through: flat blocks
+of at most nn_ops.CHUNK_PIXELS pixels in row-major order, whatever S is,
+shared out among tensor_core.CPU_THREADS threads. Each block is carried
+through the three steps in one thread's buffers. fuse_images builds its
+stripes channel-planar, as nn_ops stores activations, so their blocks are
+read in place, never gathered.
 
 Traffic is a cost model, not a measurement: a closed form of (H, W, S)
 computed once per call, not counted by the executors. Fused, the input is
@@ -39,15 +30,16 @@ schedule streams one pixel at a time per layer: the widest (in + out) pair.
 A whole forward pass (fused_forward, and fuse_images for 8-bit images) runs
 in horizontal stripes of output rows, in units of 8 rows, so no full-size
 intermediate exists. Each stripe's detail branch is one run_detailnet_fused
-call, its tile clamped to the stripe's height. The global branch of a stripe starting at row r0 > 0 runs on input
-rows [r0 - 8, r1): a stride-2 3x3 layer reads one row above each output
-row's centre, so only output row 0 of g1, g2 and g3 sees the window's zero
-padding, and that one g3 row is the 8 output rows dropped after the
-upsampling. The bottom padding of an even-height input is never read.
-Every kept row is therefore the one model.forward computes. Stripes run in
-row order; reading the input rows, the merge, the finiteness check and
-writing the output rows stay on the calling thread, so the first non-finite
-stripe is the one reported.
+call, its tile clamped to the stripe's height, and the stripe's global
+branch runs on the calling thread while the blocks run. The global branch
+of a stripe starting at row r0 > 0 runs on input rows [r0 - 8, r1): a
+stride-2 3x3 layer reads one row above each output row's centre, so only
+output row 0 of g1, g2 and g3 sees the window's zero padding, and that one
+g3 row is the 8 output rows dropped after the upsampling. The bottom
+padding of an even-height input is never read. Every kept row is therefore
+the one model.forward computes. Stripes run in row order; reading the input
+rows, the merge, the finiteness check and writing the output rows stay on
+the calling thread, so the first non-finite stripe is the one reported.
 """
 
 from dataclasses import dataclass
@@ -65,12 +57,11 @@ __all__ = [
 ]
 
 _BYTES_F32 = 4
-# The graph, its two branches, the detail branch's 1x1 convs (each followed
-# by a ReLU) and the channel widths along that chain (6, 32, 32, 3).
+# The graph, its two branches and the channel widths along the detail
+# branch's chain of 1x1 convs (6, 32, 32, 3).
 _GRAPH = model.build_lightfuse()
 _GLOBAL, _DETAIL = (layers for _, layers in _GRAPH.branches)
-_CHAIN = tuple(layer for layer in _DETAIL if layer.kind == "pointwise")
-_WIDTHS = (_CHAIN[0].in_channels,) + tuple(layer.out_channels for layer in _CHAIN)
+_WIDTHS = (_DETAIL[0].in_channels,) + tuple(layer.out_channels for layer in _DETAIL if layer.kind == "pointwise")
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 
@@ -127,54 +118,15 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
     Returns (output, TrafficReport); the output is (H, W, 3) and
     channel-planar. The tile side S, 1 to min(H, W), sizes the report only:
     off-chip traffic reads the input once and writes the output once, and
-    intermediates stay on chip. Each layer computes in result_type(its
-    input, its weights), as the unfused path does, so a float64 input stays
-    float64. `alongside` and exceptions follow tensor_core._share_work:
-    every thread is joined before this returns or raises, and a worker's
-    first exception is raised here.
+    intermediates stay on chip. The chain, ReLUs included, runs in
+    nn_ops._run_chain, so a float64 input stays float64; `alongside`, the
+    threads and a worker's exception follow that helper.
     """
     _check_detail_input(x)
     h, w = x.shape[:2]
     traffic = _fused_traffic(h, w, _tile_side(tile, h, w))
-    kernels = [model.layer_kernels(layer, weights)[0] for layer in _CHAIN]
-    chans = _WIDTHS
-    dtypes = [x.dtype]
-    for kern in kernels:
-        dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
-    npix = h * w
-    xt = x.reshape(npix, chans[0]).T  # (6, P): x's own planes when x is planar
-    planar = xt.strides[1] == xt.itemsize
-    chunk = min(nn_ops.CHUNK_PIXELS, npix)
-    out = np.empty((chans[-1], npix), dtype=dtypes[-1])
-
-    def run_block(p0, x_buf, acts, scratch):
-        p1 = min(p0 + chunk, npix)
-        c = p1 - p0
-        xc = xt[:, p0:p1]
-        if not planar:
-            xc = x_buf[: chans[0] * c].reshape(chans[0], c)
-            xc[...] = xt[:, p0:p1]
-        # every step, the last too, writes the thread's own buffers, and the
-        # result is copied into out's planes: planes a multiple of 4 KiB
-        # apart slow the adds, as in nn_ops.pointwise_forward
-        t = [xc] + [buf[: n * c].reshape(n, c) for buf, n in zip(acts, chans[1:])]
-        for i, kern in enumerate(kernels):
-            prod = scratch[i][: t[i + 1].size].reshape(t[i + 1].shape)
-            nn_ops.pointwise_channels_first(t[i], kern, t[i + 1], prod)
-            np.maximum(t[i + 1], 0.0, out=t[i + 1])  # nn_ops.relu's ufunc
-        out[:, p0:p1] = t[-1]
-
-    blocks = range(0, npix, chunk)
-    buffers = [
-        (
-            None if planar else np.empty(chans[0] * chunk, dtype=x.dtype),
-            [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:], dtypes[1:])],
-            [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:], dtypes[1:])],
-        )
-        for _ in range(min(tensor_core.CPU_THREADS, len(blocks)))
-    ]
-    tensor_core._share_work(blocks, run_block, buffers, alongside)
-    return out.reshape(chans[-1], h, w).transpose(1, 2, 0), traffic
+    ops = sum((model.layer_kernels(layer, weights) for layer in _DETAIL), ())
+    return nn_ops._planar(nn_ops._run_chain(x, ops, alongside).reshape(_WIDTHS[-1], h, w)), traffic
 
 
 def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:

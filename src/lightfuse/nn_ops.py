@@ -16,12 +16,11 @@ The forward kernels that allocate their result - depthwise_forward,
 pointwise_forward and upsample_nn - store it channel-planar: the memory of
 a (C, H, W) array, seen through .transpose(1, 2, 0). relu, tanh and add
 keep their input's order, so a walk runs planar from its first kernel on.
-On planar data each channel is one contiguous plane: the 1x1 kernel runs
-its pinned order straight from the input's planes into the output's, as
-one long multiply and add per output channel, and the depthwise taps,
-padding and upsampling read and write whole rows. Each element still sees
-bias, then + w * x in ascending order, rounded after every operation, so
-the layout changes no output bit.
+On planar data each channel is one contiguous plane: _run_chain, the one
+block loop of every 1x1 chain, reads its blocks in place, and the
+depthwise taps, padding and upsampling read and write whole rows. Each
+element still sees bias, then + w * x in ascending order, rounded after
+every operation, so the layout changes no output bit.
 
 Some results do depend on memory order: numpy sums pairwise along
 contiguous memory and one by one across it, and a BLAS product's kernel
@@ -51,6 +50,8 @@ function traces of a training walk see each backward kernel.
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import tensor_core
 
 __all__ = [
     "DepthwiseKernel",
@@ -141,8 +142,9 @@ def pointwise_channels_first(x, kern: PointwiseKernel, out, scratch):
     caller-owned (out_channels, P) buffers of dtype result_type(x, weights);
     `scratch` holds one product row block at a time. Returns `out`.
 
-    Left out of __all__: it is the inner step of pointwise_forward and of
-    the fused executor, so per-function traces charge its time to them.
+    Left out of __all__, as is _run_chain: it is the inner step of that one
+    block loop, so per-function traces charge its time to the loop's
+    callers, pointwise_forward and fusion.run_detailnet_fused.
     """
     out[...] = kern.bias[:, np.newaxis]
     for m in range(kern.in_channels):
@@ -156,41 +158,86 @@ def _planar(a: np.ndarray) -> np.ndarray:
     return a.transpose(tuple(range(1, a.ndim)) + (0,))  # np.moveaxis(a, 0, -1); its checks cost more
 
 
+def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
+    """The one block loop of every 1x1 chain: x (..., C) -> (C', P) planes.
+
+    ops are PointwiseKernels, each optionally followed by "relu" (rectified in
+    place by relu's ufunc); any other op raises ValueError. Each kernel
+    computes in result_type(its input, its weights) by
+    pointwise_channels_first, so the chain gives run_ops' bits.
+
+    The pixels run in row-major blocks of at most CHUNK_PIXELS, read in place
+    from x's planes where their rows are contiguous (x planar, as the forward
+    kernels store it) and gathered otherwise. A block is carried through every
+    step in one thread's buffers and copied into the result's planes, as planes
+    a multiple of 4 KiB apart slowed the adds by a quarter (65536 pixels,
+    32 -> 32 channels); a lone block's last step writes straight into them.
+
+    tensor_core._share_work shares the blocks among CPU_THREADS threads: the
+    caller starts the others, runs `alongside` (a fuse stripe's global branch),
+    then claims blocks too; every thread is joined before this returns or
+    raises, and a worker's first exception is raised here. numpy's ufuncs and
+    copies release the GIL, so the arithmetic runs on every CPU. Each thread
+    owns its buffers and writes disjoint pixels, so no bit depends on the
+    thread count. Workers call only pointwise_channels_first and numpy, never a
+    function in a module's __all__, so a traced run keeps seeing one thread.
+    """
+    steps = []  # [kernel, whether a relu follows it]
+    for op in ops:
+        if isinstance(op, PointwiseKernel):
+            steps.append([op, False])
+        elif op == "relu" and steps and not steps[-1][1]:
+            steps[-1][1] = True
+        else:
+            raise ValueError(f"a 1x1 chain runs pointwise kernels, each with an optional relu, not {op!r}")
+    chans, dtypes = [x.shape[-1]], [x.dtype]
+    for kern, _ in steps:
+        if chans[-1] != kern.in_channels:
+            raise ValueError(f"channel mismatch: input has {chans[-1]}, kernel expects {kern.in_channels}")
+        chans.append(kern.out_channels)
+        dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
+    xt = x.reshape(-1, chans[0]).T  # (C, P): x's own planes when x is planar
+    npix = xt.shape[1]
+    out = np.empty((chans[-1], npix), dtype=dtypes[-1])
+    chunk = min(CHUNK_PIXELS, npix)
+    blocks = range(0, npix, max(chunk, 1))
+
+    def run_block(p0, x_buf, acts, prods):
+        c = min(chunk, npix - p0)
+        t = xt[:, p0 : p0 + c]
+        if x_buf is not None:
+            t = x_buf[: chans[0] * c].reshape(chans[0], c)
+            t[...] = xt[:, p0 : p0 + c]
+        for (kern, relu_after), act, prod in zip(steps, acts, prods):
+            n = kern.out_channels
+            y = out if act is None else act[: n * c].reshape(n, c)
+            pointwise_channels_first(t, kern, y, prod[: n * c].reshape(n, c))
+            if relu_after:
+                np.maximum(y, 0.0, out=y)  # relu's ufunc
+            t = y
+        if t is not out:
+            out[:, p0 : p0 + c] = t
+
+    def buffer_set():
+        """(x's gather buffer or None, each step's output buffer, each step's product buffer)."""
+        acts = [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:-1], dtypes[1:-1])]
+        acts.append(None if chunk == npix else np.empty(chans[-1] * chunk, dtype=dtypes[-1]))
+        prods = [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:], dtypes[1:])]
+        return None if xt.strides[1] == xt.itemsize else np.empty(chans[0] * chunk, dtype=x.dtype), acts, prods
+
+    # with zero pixels there is no block, and one empty buffer set, so `alongside` still runs
+    threads = max(1, min(tensor_core.CPU_THREADS, len(blocks)))
+    tensor_core._share_work(blocks, run_block, [buffer_set() for _ in range(threads)], alongside)
+    return out
+
+
 def pointwise_forward(x: np.ndarray, kern: PointwiseKernel) -> np.ndarray:
     """out[..., n] = bias[n] + sum_m w[m, n] * x[..., m], any leading dims.
 
-    Computed in result_type(x, weights) by pointwise_channels_first, in
-    blocks of CHUNK_PIXELS pixels, straight from x's planes when x is
-    planar; any other x is gathered a block at a time. One block is
-    computed in place in the result's planes; with more, each is computed
-    in a contiguous buffer and copied into them, as rows a power of two
-    apart in memory slowed the adds by a quarter (65536 pixels, 32 -> 32).
+    A chain of one step in _run_chain, the one block loop of every 1x1 chain:
+    computed in result_type(x, weights), in blocks shared out among threads.
     """
-    m, n = kern.in_channels, kern.out_channels
-    if x.shape[-1] != m:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[-1]}, kernel expects {m}"
-        )
-    xt = x.reshape(-1, m).T  # (m, P): contiguous when x is planar
-    npix = xt.shape[1]
-    dtype = np.result_type(x.dtype, kern.weights.dtype)
-    out = np.empty((n, npix), dtype=dtype)
-    chunk = min(CHUNK_PIXELS, npix)
-    scratch = np.empty(n * chunk, dtype=dtype)
-    x_buf = None if xt.flags.c_contiguous else np.empty(m * chunk, dtype=x.dtype)
-    out_buf = None if chunk == npix else np.empty(n * chunk, dtype=dtype)
-    for p0 in range(0, npix, chunk):
-        p1 = min(p0 + chunk, npix)
-        c = p1 - p0
-        xc = xt[:, p0:p1]
-        if x_buf is not None:
-            xc = x_buf[: m * c].reshape(m, c)
-            xc[...] = xt[:, p0:p1]
-        oc = out[:, p0:p1] if out_buf is None else out_buf[: n * c].reshape(n, c)
-        pointwise_channels_first(xc, kern, oc, scratch[: n * c].reshape(n, c))
-        if out_buf is not None:
-            out[:, p0:p1] = oc
-    return _planar(out.reshape((n,) + x.shape[:-1]))
+    return _planar(_run_chain(x, (kern,)).reshape((kern.out_channels,) + x.shape[:-1]))
 
 
 def depthwise_forward(x: np.ndarray, kern: DepthwiseKernel) -> np.ndarray:

@@ -11,9 +11,9 @@ _check_images8 checks every 8-bit image argument, _open_input opens every
 input file and _OutputFile writes every output file (PpmWriter's, and the
 CLI's weights and loss curve).
 
-The module also holds the work sharing that the tile executor
-(fusion.run_detailnet_fused) and SSIM (metrics.ssim) have in common:
-_share_work runs a call's work units on CPU_THREADS threads.
+_share_work runs a call's work units on CPU_THREADS threads for its two
+users: nn_ops._run_chain, the one block loop of every 1x1 chain (both
+pointwise_forward and fusion.run_detailnet_fused), and metrics.ssim.
 """
 
 import contextlib

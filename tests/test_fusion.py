@@ -8,6 +8,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
+import hwc_reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -110,12 +111,12 @@ def forward_with_detail_output(graph, weights, under, over):
 
 
 def threads(n):
-    """Run the fused executor on n threads, the calling thread included."""
+    """Run every 1x1 chain on n threads, the calling thread included."""
     return mock.patch.object(tensor_core, "CPU_THREADS", n)
 
 
 def blocks(pixels):
-    """Run the fused executor in blocks of at most `pixels` pixels."""
+    """Run every 1x1 chain in blocks of at most `pixels` pixels."""
     return mock.patch.object(nn_ops, "CHUNK_PIXELS", pixels)
 
 
@@ -151,6 +152,67 @@ def test_tiled_equals_unfused_equals_forward(case):
     reference, detail = forward_with_detail_output(graph, weights, under, over)
     assert fused.tobytes() == unfused.tobytes() == detail.tobytes()
     assert fused_forward_out.tobytes() == reference.tobytes()
+
+
+def laid_out(a, layout):
+    """a's values C-ordered, channel-planar, planar rows inside a larger array, or in a strided view."""
+    if layout == "c_order":
+        return np.ascontiguousarray(a)
+    if layout == "strided":  # every other channel of a wider array: blocks are gathered
+        out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)[..., ::2]
+    else:  # planar; "planar_rows" drops a first leading row, as fuse's stripes below the top do
+        extra = layout == "planar_rows"
+        big = np.empty((a.shape[-1], a.shape[0] + extra) + a.shape[1:-1], dtype=a.dtype)
+        out = np.moveaxis(big, 0, -1)[extra:]
+    out[...] = a
+    return out
+
+
+@st.composite
+def chain_inputs(draw):
+    """(x with 6 channels, CHUNK_PIXELS, CPU_THREADS, seed): 0 to 3 blocks + 1 pixels, block edges +-1 often."""
+    chunk = draw(st.integers(1, 48))
+    edges = [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    npix = draw(st.one_of(st.integers(0, 3 * chunk + 1), st.sampled_from(edges)))
+    if npix == 0:
+        lead = draw(st.sampled_from([(0,), (0, 5), (3, 0), (2, 0, 4)]))
+    else:
+        rows = draw(st.sampled_from([d for d in range(1, npix + 1) if npix % d == 0]))
+        lead = draw(st.sampled_from([(npix,), (rows, npix // rows), (1, rows, npix // rows)]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, lead + (6,))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["c_order", "planar", "planar_rows", "strided"]))
+    return laid_out(x.astype(dtype), layout), chunk, draw(st.integers(1, 4)), seed
+
+
+@example(case=(laid_out(detail_input(3, 5, seed=0), "strided"), 4, 3, 0))
+@example(case=(np.zeros((0, 5, 6), dtype=np.float32), 4096, 2, 1))
+@given(case=chain_inputs())
+@settings(max_examples=80, deadline=None)
+def test_pointwise_and_fused_chains_equal_the_hwc_reference(case):
+    """Byte for byte, dtype and shape too, whatever the layout, block size and thread count."""
+    x, chunk, n_threads, seed = case
+    rng = np.random.default_rng(seed)
+    c_out = int(rng.integers(1, 9))
+    kern = nn_ops.PointwiseKernel(
+        rng.uniform(-1, 1, (6, c_out)).astype(np.float32), rng.uniform(-1, 1, c_out).astype(np.float32)
+    )
+    weights, reference = random_weights(seed), np.ascontiguousarray(x)
+    with blocks(chunk), threads(n_threads):
+        got = nn_ops.pointwise_forward(x, kern)
+        fused = run_detailnet_fused(x, weights, 1)[0] if x.ndim == 3 and x.size else None
+    want = hwc_reference.pointwise_forward(reference, kern)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    if fused is not None:
+        for layer in dict(build_lightfuse().branches)["detail"]:
+            reference = hwc_reference.run_ops(model.layer_kernels(layer, weights), reference, [])
+        assert (fused.dtype, fused.shape) == (reference.dtype, reference.shape)
+        assert fused.tobytes() == reference.tobytes()
 
 
 # ------------------------------------------------------------------ traffic
@@ -457,16 +519,20 @@ class Boom(Exception):
 def on_worker(n, boom=None):
     """A pointwise_channels_first that lets a worker thread make its first n calls.
 
-    The main thread's first call waits until a worker has made them, so a
-    worker is sure to run blocks. With `boom`, the worker's n-th call raises it.
-    Returns (patcher, event set after the n-th worker call).
+    While a worker thread is alive, the main thread's calls wait until a
+    worker has made them, so a worker is sure to run blocks; a chain of one
+    block starts no worker, and its call runs at once. With `boom`, the
+    worker's n-th call raises it. Returns (patcher, event set after the n-th
+    worker call).
     """
     kernel = nn_ops.pointwise_channels_first
     lock, calls, done = threading.Lock(), [0], threading.Event()
+    alone = threading.active_count()
 
     def patched(*args):
         if threading.current_thread() is threading.main_thread():
-            assert done.wait(10), "no worker thread ran a block"
+            if threading.active_count() > alone:
+                assert done.wait(10), "no worker thread ran a block"
             return kernel(*args)
         with lock:
             calls[0] += 1
@@ -481,7 +547,11 @@ def on_worker(n, boom=None):
 
 
 def entry_points(weights):
-    """The three ways into the fused executor, on a 64x64 pair at tile 8 (8 blocks under blocks(512))."""
+    """The ways into a threaded 1x1 chain, on a 64x64 pair (8 blocks a layer under blocks(512)).
+
+    The fused executor's three, at tile 8, and model.forward, whose detail
+    branch runs layer by layer, each 1x1 layer through pointwise_forward.
+    """
     rng = np.random.default_rng(31)
     under8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
     over8 = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
@@ -490,10 +560,11 @@ def entry_points(weights):
         "run_detailnet_fused": lambda: run_detailnet_fused(np.concatenate((under, over), axis=2), weights, 8),
         "fused_forward": lambda: fusion.fused_forward(weights, under, over, 8),
         "fuse_images": lambda: fusion.fuse_images(weights, under8, over8, 8),
+        "model.forward": lambda: model.forward(build_lightfuse(), weights, under, over),
     }
 
 
-@pytest.mark.parametrize("entry", ["run_detailnet_fused", "fused_forward", "fuse_images"])
+@pytest.mark.parametrize("entry", ["run_detailnet_fused", "fused_forward", "fuse_images", "model.forward"])
 def test_worker_exception_surfaces_after_every_thread_is_joined(weights, entry):
     run = entry_points(weights)[entry]
     boom = Boom("worker failed")
@@ -524,6 +595,11 @@ def test_global_branch_exception_surfaces_after_every_thread_is_joined(weights, 
     assert threading.active_count() == before
 
 
+def output_bytes(result):
+    """The output bytes of an entry point's result: an array, or (array, TrafficReport)."""
+    return (result[0] if isinstance(result, tuple) else result).tobytes()
+
+
 def test_worker_threads_call_no_public_function(weights):
     """Every __all__ function runs on the main thread, which traced runs rely on."""
 
@@ -534,50 +610,48 @@ def test_worker_threads_call_no_public_function(weights):
 
         return wrapper
 
-    run = entry_points(weights)["fuse_images"]
-    expected, _ = run()
-    patch, worker_ran = on_worker(1)
-    with ExitStack() as stack:
-        for module in (nn_ops, model, fusion, tensor_core):
-            for name in module.__all__:
-                obj = getattr(module, name)
-                if inspect.isfunction(obj) and obj.__module__ == module.__name__:
-                    stack.enter_context(mock.patch.object(module, name, main_thread_only(obj)))
-        stack.enter_context(threads(2))
-        stack.enter_context(blocks(512))
-        stack.enter_context(patch)
-        fused, _ = run()
-    assert worker_ran.is_set()
-    assert fused.tobytes() == expected.tobytes()
-
+    for entry, run in entry_points(weights).items():
+        expected = run()
+        patch, worker_ran = on_worker(1)
+        with ExitStack() as stack:
+            for module in (nn_ops, model, fusion, tensor_core):
+                for name in module.__all__:
+                    obj = getattr(module, name)
+                    if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                        stack.enter_context(mock.patch.object(module, name, main_thread_only(obj)))
+            stack.enter_context(threads(2))
+            stack.enter_context(blocks(512))
+            stack.enter_context(patch)
+            out = run()
+        assert worker_ran.is_set(), entry
+        assert output_bytes(out) == output_bytes(expected), entry
 
 
 def test_workers_run_in_the_callers_errstate(weights):
-    patch, worker_ran = on_worker(1)
-    seen = {}
-    caller_ran = threading.Event()
-    with threads(2), blocks(512), patch:
-        kernel = nn_ops.pointwise_channels_first
+    for entry, run in entry_points(weights).items():
+        patch, worker_ran = on_worker(1)
+        seen = {}
+        caller_ran = threading.Event()
+        with threads(2), blocks(512), patch:
+            kernel = nn_ops.pointwise_channels_first
 
-        def recording(*args):
-            on_caller = threading.current_thread() is threading.main_thread()
-            if on_caller:
-                caller_ran.set()
-            elif worker_ran.is_set():
-                # the worker's later calls leave blocks for the calling thread
-                caller_ran.wait(10)
-            seen[on_caller] = np.geterr()["over"]
-            return kernel(*args)
+            def recording(*args):
+                on_caller = threading.current_thread() is threading.main_thread()
+                if on_caller:
+                    caller_ran.set()
+                elif worker_ran.is_set():
+                    # the worker's later calls leave blocks for the calling thread
+                    caller_ran.wait(10)
+                seen[on_caller] = np.geterr()["over"]
+                return kernel(*args)
 
-        with mock.patch.object(nn_ops, "pointwise_channels_first", recording), np.errstate(over="raise"):
-            run_detailnet_fused(detail_input(64, 64, seed=32), weights, 8)
-    assert worker_ran.is_set()
-    assert seen == {True: "raise", False: "raise"}
+            with mock.patch.object(nn_ops, "pointwise_channels_first", recording), np.errstate(over="raise"):
+                run()
+        assert worker_ran.is_set(), entry
+        assert seen == {True: "raise", False: "raise"}, entry
 
 
 def test_every_group_runs_once_on_more_threads_than_cpus(weights):
-    x = detail_input(64, 64, seed=33)
-    expected, _ = run_detailnet_fused(x, weights, 2)
     kernel = nn_ops.pointwise_channels_first
     lock, calls = threading.Lock(), [0]
 
@@ -589,10 +663,14 @@ def test_every_group_runs_once_on_more_threads_than_cpus(weights):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with threads(8), blocks(128), mock.patch.object(nn_ops, "pointwise_channels_first", counting):
-            fused, _ = run_detailnet_fused(x, weights, 2)  # 32 blocks of 128 pixels
+        for entry, run in entry_points(weights).items():
+            # 32 blocks of 128 pixels a detail layer; one thread runs each block once
+            results = {}
+            for n in (1, 8):
+                calls[0] = 0
+                with threads(n), blocks(128), mock.patch.object(nn_ops, "pointwise_channels_first", counting):
+                    results[n] = (output_bytes(run()), calls[0])
+            assert results[8] == results[1], entry
+            assert results[1][1] >= 32 * 3, entry
     finally:
         sys.setswitchinterval(interval)
-    assert calls[0] == 32 * 3
-    assert fused.tobytes() == expected.tobytes()
-

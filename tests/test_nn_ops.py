@@ -159,12 +159,14 @@ def test_pointwise_matches_pixel_major_oracle(npix_offset, dtype):
 
 
 def test_pointwise_matches_pixel_major_oracle_leading_dims():
-    kern = PointwiseKernel(rand((32, 3), seed=43), rand((3,), seed=44))
-    # 8241 pixels under three leading dims: two full chunks and a residual one
-    x = rand((3, 41, 67, 32), seed=45)
-    got = pointwise_forward(x, kern)
-    assert got.shape == (3, 41, 67, 3)
-    assert got.tobytes() == hwc_reference.pointwise_forward(x, kern).tobytes()
+    # (3, 41, 67, 32): 8241 pixels under three leading dims, two full chunks
+    # and a residual one; the others have no pixel at all
+    for shape in ((3, 41, 67, 32), (0, 6), (0, 5, 6), (3, 0, 6)):
+        kern = PointwiseKernel(rand((shape[-1], 3), seed=43), rand((3,), seed=44))
+        x = rand(shape, seed=45)
+        got = pointwise_forward(x, kern)
+        assert got.shape == shape[:-1] + (3,)
+        assert got.tobytes() == hwc_reference.pointwise_forward(x, kern).tobytes()
 
 
 # ---------------------------------------------------------------- elementwise
@@ -407,3 +409,15 @@ def test_backward_ops_can_skip_the_first_kernels_input_gradient(first):
     skipped, same = nn_ops.backward_ops(ops, inputs, g, need_dx=False)
     assert skipped is None if first != "relu" else skipped.tobytes() == dx.tobytes()
     assert [a.tobytes() for a in same] == [a.tobytes() for a in pgrads]
+
+
+def test_run_chain_takes_pointwise_kernels_each_with_an_optional_relu():
+    k1, k2 = (PointwiseKernel(rand((3, 3), seed=s), rand((3,), seed=s + 1)) for s in (56, 58))
+    x = rand((5, 7, 3), seed=60)
+    ops = (k1, "relu", k2)
+    got = nn_ops._planar(nn_ops._run_chain(x, ops).reshape(3, 5, 7))
+    assert got.tobytes() == nn_ops.run_ops(ops, x, []).tobytes()
+    depthwise = DepthwiseKernel(delta_kernel(3), None, 1)
+    for bad in [("relu", k1), (k1, "relu", "relu"), (k1, "tanh"), (k1, depthwise), (k1, "upsample_nn")]:
+        with pytest.raises(ValueError, match="a 1x1 chain runs pointwise kernels"):
+            nn_ops._run_chain(x, bad)

@@ -28,7 +28,7 @@ def test_digests_print_every_call_of_train_toy(capsys):
 
 
 def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
-    from lightfuse import metrics, model
+    from lightfuse import metrics, model, nn_ops
 
     digests = load_digests()
     assert digests.main(["--workload", "library", "3"]) == 0
@@ -45,7 +45,10 @@ def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
             )
     a, b = digests.score_pair(3)  # the scores' full-precision reprs, last bits included
     want.append(re.escape(f"library seed=3 scores psnr={metrics.psnr(a, b)!r} ssim={metrics.ssim(a, b)!r}"))
+    want.append(f"library seed=3 lightfuse forward score_pair out={sha}")
     hp, wp = (-(-side // 8) * 8 for side in digests.SCORE_SIZE)  # the pair padded as fuse pads it
+    # many blocks of each 1x1 layer: the multi-block, threaded layer-by-layer path
+    assert hp * wp > 4 * nn_ops.CHUNK_PIXELS
     assert digests.SCORE_TILES[-1] == min(hp, wp)  # the largest tile of the padded pair
     for tile in digests.SCORE_TILES:
         want.append(

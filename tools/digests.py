@@ -16,16 +16,19 @@ RandomConvExtractor(seed)), giving the SHA-256 of the output and of every
 gradient in graph_param_entries order, and the LossReport's repr; then one
 line with the full-precision repr of metrics.psnr and metrics.ssim on a
 uint8 pair drawn from the seed (`score_pair`), whose last bits `eval`'s
-three decimals hide; then one line per tile side S in SCORE_TILES (1, 8
-and the padded pair's shorter side) with the SHA-256 of
-fusion.fuse_images' output on that pair (lightfuse weights as above) and
-its TrafficReport.dump(), so a diff shows whether the tile reaches the
-output bytes. The `faults` workload runs one CLI call per FAULT_CASES
-entry, each in a fresh directory of small intact inputs with one file
-replaced by a fault, and prints its exit code, its last stderr line and
-the directory listing after it (see `listing`). Run it on two checkouts
-(or with --src on each) and diff the outputs to check that a change leaves
-the program's outputs, or its fault behaviour, byte for byte the same.
+three decimals hide; then one line for model.forward (lightfuse weights as
+above) on that pair normalized and edge-padded to a multiple of 8, whose
+304x1032 pixels make many blocks for every thread of each 1x1 layer; then
+one line per tile side S in SCORE_TILES (1, 8 and the padded pair's
+shorter side) with the SHA-256 of fusion.fuse_images' output on that pair
+(lightfuse weights as above) and its TrafficReport.dump(), so a diff shows
+whether the tile reaches the output bytes. The `faults` workload runs one
+CLI call per FAULT_CASES entry, each in a fresh directory of small intact
+inputs with one file replaced by a fault, and prints its exit code, its
+last stderr line and the directory listing after it (see `listing`). Run
+it on two checkouts (or with --src on each) and diff the outputs to check
+that a change leaves the program's outputs, or its fault behaviour, byte
+for byte the same.
 perfbench is only read; the lightfuse package comes from --src (default:
 src/ beside this script's directory).
 """
@@ -108,6 +111,10 @@ def library_lines(lf, seed):
             yield f"library seed={seed} {graph.name} loss_and_grads extractor={name} {' '.join(fields)} report={report!r}"
     a, b = score_pair(seed)
     yield f"library seed={seed} scores psnr={lf.metrics.psnr(a, b)!r} ssim={lf.metrics.ssim(a, b)!r}"
+    pad = [(0, -side % 8) for side in SCORE_SIZE] + [(0, 0)]  # fuse's edge padding
+    under, over = (np.pad(lf.tensor_core.normalize(img), pad, mode="edge") for img in (a, b))
+    out = lf.model.forward(lf.model.build_lightfuse(), stores["lightfuse"], under, over)
+    yield f"library seed={seed} lightfuse forward score_pair out={array_sha256(out)}"
     for tile in SCORE_TILES:
         out, traffic = lf.fusion.fuse_images(stores["lightfuse"], a, b, tile)
         yield f"library seed={seed} fuse_images tile={tile} out={array_sha256(out)} {traffic.dump()}"
