@@ -12,12 +12,10 @@ layer-by-layer reference path (both run the same fixed-order kernel), so S
 sizes the traffic model below and nothing else.
 
 On the host the chain runs through nn_ops._run_chain, the one block loop of
-every 1x1 chain, which pointwise_forward runs one layer through: flat blocks
-of at most nn_ops.CHUNK_PIXELS pixels in row-major order, whatever S is,
-shared out among tensor_core.CPU_THREADS threads. Each block is carried
-through the three steps in one thread's buffers. fuse_images builds its
-stripes channel-planar, as nn_ops stores activations, so their blocks are
-read in place, never gathered.
+every 1x1 chain (pointwise_forward is a chain of one): flat CHUNK_PIXELS
+blocks in row-major order, whatever S is, on CPU_THREADS threads. fuse_images
+builds its stripes channel-planar, as nn_ops stores activations, so their
+blocks are read in place, never gathered.
 
 Traffic is a cost model, not a measurement: a closed form of (H, W, S)
 computed once per call, not counted by the executors. Fused, the input is
@@ -126,7 +124,7 @@ def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> t
     h, w = x.shape[:2]
     traffic = _fused_traffic(h, w, _tile_side(tile, h, w))
     ops = sum((model.layer_kernels(layer, weights) for layer in _DETAIL), ())
-    return nn_ops._planar(nn_ops._run_chain(x, ops, alongside).reshape(_WIDTHS[-1], h, w)), traffic
+    return nn_ops._run_chain(x, ops, alongside), traffic
 
 
 def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:

@@ -159,7 +159,7 @@ def _planar(a: np.ndarray) -> np.ndarray:
 
 
 def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
-    """The one block loop of every 1x1 chain: x (..., C) -> (C', P) planes.
+    """The one block loop of every 1x1 chain: x (..., C) -> (..., C'), channel-planar.
 
     ops are PointwiseKernels, each optionally followed by "relu" (rectified in
     place by relu's ufunc); any other op raises ValueError. Each kernel
@@ -176,11 +176,13 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
     tensor_core._share_work shares the blocks among CPU_THREADS threads: the
     caller starts the others, runs `alongside` (a fuse stripe's global branch),
     then claims blocks too; every thread is joined before this returns or
-    raises, and a worker's first exception is raised here. numpy's ufuncs and
-    copies release the GIL, so the arithmetic runs on every CPU. Each thread
-    owns its buffers and writes disjoint pixels, so no bit depends on the
-    thread count. Workers call only pointwise_channels_first and numpy, never a
-    function in a module's __all__, so a traced run keeps seeing one thread.
+    raises, and a worker's first exception is raised here. A chain inside
+    `alongside` (g3's, past a padded width of 16,384) shares its blocks too,
+    beside the caller's workers: accepted for inputs that wide. numpy's ufuncs
+    and copies release the GIL, so the arithmetic runs on every CPU. Each
+    thread owns its buffers and writes disjoint pixels, so no bit depends on
+    the thread count. Workers call only pointwise_channels_first and numpy,
+    never a function in a module's __all__, so a traced run sees one thread.
     """
     steps = []  # [kernel, whether a relu follows it]
     for op in ops:
@@ -228,7 +230,7 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
     # with zero pixels there is no block, and one empty buffer set, so `alongside` still runs
     threads = max(1, min(tensor_core.CPU_THREADS, len(blocks)))
     tensor_core._share_work(blocks, run_block, [buffer_set() for _ in range(threads)], alongside)
-    return out
+    return _planar(out.reshape((chans[-1],) + x.shape[:-1]))
 
 
 def pointwise_forward(x: np.ndarray, kern: PointwiseKernel) -> np.ndarray:
@@ -237,7 +239,7 @@ def pointwise_forward(x: np.ndarray, kern: PointwiseKernel) -> np.ndarray:
     A chain of one step in _run_chain, the one block loop of every 1x1 chain:
     computed in result_type(x, weights), in blocks shared out among threads.
     """
-    return _planar(_run_chain(x, (kern,)).reshape((kern.out_channels,) + x.shape[:-1]))
+    return _run_chain(x, (kern,))
 
 
 def depthwise_forward(x: np.ndarray, kern: DepthwiseKernel) -> np.ndarray:

@@ -415,7 +415,7 @@ def test_run_chain_takes_pointwise_kernels_each_with_an_optional_relu():
     k1, k2 = (PointwiseKernel(rand((3, 3), seed=s), rand((3,), seed=s + 1)) for s in (56, 58))
     x = rand((5, 7, 3), seed=60)
     ops = (k1, "relu", k2)
-    got = nn_ops._planar(nn_ops._run_chain(x, ops).reshape(3, 5, 7))
+    got = nn_ops._run_chain(x, ops)
     assert got.tobytes() == nn_ops.run_ops(ops, x, []).tobytes()
     depthwise = DepthwiseKernel(delta_kernel(3), None, 1)
     for bad in [("relu", k1), (k1, "relu", "relu"), (k1, "tanh"), (k1, depthwise), (k1, "upsample_nn")]:
