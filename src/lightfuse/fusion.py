@@ -64,11 +64,14 @@ _WIDTHS = (_DETAIL[0].in_channels,) + tuple(layer.out_channels for layer in _DET
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 
 # Output pixels per forward stripe (padded width times rows, in units of 8
-# rows, at least one): 64 rows at W=1032. Swept on perfbench fuse_large
-# (2-vCPU x86 host, two fuse threads): peak RSS 44.0 MB at 49152, 44.9 at
-# 65536, 45.8 here, 47.7 at 98304 and 50.5 at 131072, while task_p25_s moved
-# more between runs than between budgets (README, "Tile-fused execution").
-FUSE_STRIPE_PIXELS = 73728
+# rows, at least one): 48 rows at W=1032. Swept at 1021x1027 on two fuse
+# threads (2-vCPU x86 host, in-process fuse_images), with each thread's
+# block buffers three of the widest step: traced peak 8.87 MiB at 73728
+# (64 rows), 6.89 here, 6.22 at 36864 and 4.90 at 24576; median time 0.392,
+# 0.418 and 0.434 s at the first three in 15 shuffled rounds, as each stripe
+# re-reads 8 halo rows and ends when both threads have finished its blocks
+# (README, "Tile-fused execution").
+FUSE_STRIPE_PIXELS = 49152
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,28 @@ computed by both. The unit sums are then added in the tree's order,
 left + right, so each channel's mean is the float the map's mean() gives,
 and the score the same float as the whole-image formulation. A pass reads
 its rows plus the 10 halo rows of each input once, then, channel by
-channel, fills five maps (x, y, x*x, y*y, x*y) into preallocated buffers
-and filters them in place. Each filter pass keeps the pinned order - a
-zero start, then + kernel[u] * x for u ascending, every product rounded
-before its add - so every map value is the one whole-image filtering
-gives.
+channel, fills five maps (x, y, x*x, y*y, x*y) into a preallocated uint16
+buffer, which holds 255^2 exactly, and filters them into float64 buffers.
+The filter's first products cast the integers to float64 exactly, and
+each filter pass keeps the pinned order - a zero start, then
++ kernel[u] * x for u ascending, every product rounded before its add -
+so every map value is the one whole-image filtering gives.
 
 The units are shared out by tensor_core._share_work among
 tensor_core.CPU_THREADS threads (the CPU count every 1x1 chain uses
-too), each with its own buffers, sized by the width alone and allocated by
-the caller. Worker threads call numpy, _filter_rows and a reader's row
-reads, never a function in a module's __all__, so a traced run keeps
-seeing one thread. They run in the caller's np.errstate; every worker is
-joined before ssim returns or raises, and a worker's exception is raised
-on the caller. The buffers are allocated and freed on every call; cli.main
-keeps glibc from unmapping freed heap (cli._keep_freed_heap), so a process
-that scores again and again does not page-fault them in each time.
+too). Each thread owns one set of buffers, allocated by the caller: the
+pass buffers, sized by the width alone so that they do not change with
+the height; the uint8 rows a pass reads from a PpmReader
+(PpmReader.readinto), so no pass allocates; and, for a unit of more than
+one pass, its rows of map, sized for the image's largest such unit. A unit
+of one pass reduces its rows where the pass computed them. Worker threads
+call numpy, _filter_rows and a reader's readinto, never a function in a
+module's __all__, so a traced run keeps seeing one thread. They run in
+the caller's np.errstate; every worker is joined before ssim returns or
+raises, and a worker's exception is raised on the caller. The buffers are
+allocated and freed on every call; cli.main keeps glibc from unmapping
+freed heap (cli._keep_freed_heap), so a process that scores again and
+again does not page-fault them in each time.
 """
 
 import math
@@ -62,8 +68,8 @@ _C2 = (0.03 * 255) ** 2
 # p25 in a fuse + eval loop): 0.51-0.54 s at 8192, 0.42-0.45 s here,
 # 0.38-0.43 s at 16384, 0.42-0.43 s at 20480 and 0.45-0.47 s at 24576,
 # against 0.53-0.56 s for one thread and a whole map at 8192. 12288 keeps
-# a thread's stripe buffers near 2 MB; its buffers for passes of up to two
-# stripes and its unit's rows of map make 4.4 MB at W=1027.
+# a thread's buffers for passes of up to two stripes at 2.9 MB at W=1027
+# (uint16 maps, float64 filter buffers), 3.1 MB with a reader's rows.
 SSIM_STRIPE_PIXELS = 12288
 # numpy's pairwise-sum leaf: the largest block it sums without splitting
 _SUM_LEAF = 128
@@ -154,20 +160,29 @@ def ssim(a, b) -> float:
     stripe = min(oh, max(1, SSIM_STRIPE_PIXELS // w))
     # a unit holds at most as many map rows as a stripe reads input rows
     budget = (stripe + halo) * ow
-    units = _sum_tree(0, n, budget, lambda start, size: [(start, size)])
-    # the rows of the largest unit: one more than its values fill when it starts mid-row
-    unit_rows = min(oh, -(-max(budget, _SUM_LEAF) // ow) + 1)
+    # each unit's place in the tree's order, its values and the output rows
+    # that cover them; a row it shares with a neighbour is computed by both
+    units = [
+        (i, start, size, start // ow, -(-(start + size) // ow))
+        for i, (start, size) in enumerate(_sum_tree(0, n, budget, lambda start, size: [(start, size)]))
+    ]
+    # the longest pass any unit of this width could need: the rows of the
+    # largest unit, one more than its values fill when it starts mid-row
+    pass_rows = min(oh, -(-max(budget, _SUM_LEAF) // ow) + 1, 2 * stripe - 1)
+    # the rows of this image's largest unit of more than one pass (0 if none)
+    unit_rows = max((last - first for *_, first, last in units if last - first >= 2 * stripe), default=0)
     sums = np.empty((channels, len(units)))
 
-    def run_unit(unit, maps, tmp, filt, prod, smap):
-        i, (start, size) = unit
-        # the unit's rows, in passes of one to two stripes (a rest of less than
-        # two is one pass); a row it shares with a neighbour is computed by both
-        first, last = start // ow, -(-(start + size) // ow)
+    def run_unit(unit, ins, maps, tmp, filt, prod, smap):
+        i, start, size, first, last = unit
+        lo = start - first * ow  # the unit's first value in its first row
+        one_pass = last - first < 2 * stripe
+        # the unit's rows, in passes of one to two stripes (a rest of less than two is one pass)
         r0 = first
         while r0 < last:
             rows = last - r0 if last - r0 < 2 * stripe else stripe
-            ra, rb = a[r0 : r0 + rows + halo], b[r0 : r0 + rows + halo]
+            r1 = r0 + rows + halo
+            ra, rb = (img[r0:r1] if buf is None else img.readinto(r0, r1, buf[: r1 - r0]) for img, buf in zip((a, b), ins))
             m, f = maps[:, : rows + halo], filt[:, :rows]
             for c in range(channels):
                 m[0] = ra[:, :, c]
@@ -195,19 +210,28 @@ def ssim(a, b) -> float:
                 np.add(vx, vy, out=vx)
                 np.add(vx, _C2, out=vx)
                 np.multiply(den, vx, out=den)
-                np.divide(num, den, out=smap[c, r0 - first : r0 - first + rows])
+                if one_pass:  # the pass holds the unit's rows of map: reduce them at once
+                    np.divide(num, den, out=num)
+                    sums[c, i] = np.add.reduce(num.reshape(-1)[lo : lo + size])
+                else:
+                    np.divide(num, den, out=smap[c, r0 - first : r0 - first + rows])
             r0 += rows
-        lo = start - first * ow
-        for c in range(channels):
-            sums[c, i] = np.add.reduce(smap[c].reshape(-1)[lo : lo + size])
+        if not one_pass:
+            for c in range(channels):
+                sums[c, i] = np.add.reduce(smap[c, : last - first].reshape(-1)[lo : lo + size])
 
-    # per thread: maps holds x, y, x*x, y*y and x*y over one pass plus its
-    # halo rows; tmp the vertical pass, filt the filtered maps, smap the
-    # unit's rows of the SSIM map
-    pass_rows = min(unit_rows, 2 * stripe - 1)
+    # per thread: ins reads a PpmReader's rows of one pass plus its halo rows
+    # (None for an array, whose rows are read in place); maps holds x, y,
+    # x*x, y*y and x*y over them as exact integers of at most 255^2, which
+    # the filter's first products cast to float64 exactly; tmp holds the
+    # vertical pass, filt the filtered maps and smap the rows of map of a
+    # unit of more than one pass. The pass buffers are sized by the width
+    # alone, so that they do not change with the height.
     buffers = [
         (
-            np.empty((5, pass_rows + halo, w)),
+            [None if isinstance(img, np.ndarray) else np.empty((pass_rows + halo, w, channels), np.uint8)
+             for img in (a, b)],
+            np.empty((5, pass_rows + halo, w), np.uint16),
             np.empty((5, pass_rows, w)),
             np.empty((5, pass_rows, ow)),
             np.empty(5 * pass_rows * w),
@@ -215,7 +239,7 @@ def ssim(a, b) -> float:
         )
         for _ in range(min(tensor_core.CPU_THREADS, len(units)))
     ]
-    tensor_core._share_work(enumerate(units), run_unit, buffers)
+    tensor_core._share_work(units, run_unit, buffers)
     unit_sums = iter(sums.T)
     totals = _sum_tree(0, n, budget, lambda start, size: next(unit_sums))  # one per channel
     return float(np.mean(totals / n))

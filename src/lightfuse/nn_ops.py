@@ -172,65 +172,85 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
     step in one thread's buffers and copied into the result's planes, as planes
     a multiple of 4 KiB apart slowed the adds by a quarter (65536 pixels,
     32 -> 32 channels); a lone block's last step writes straight into them.
+    Each thread owns one product buffer, shared by every step, and one or two
+    activation buffers that the steps write in turn, none where a lone block
+    has one step. They are byte buffers sized for the widest step, its
+    channels times its dtype's itemsize, and each step views them in its own
+    dtype, which may differ from the step before it.
 
-    tensor_core._share_work shares the blocks among CPU_THREADS threads: the
-    caller starts the others, runs `alongside` (a fuse stripe's global branch),
-    then claims blocks too; every thread is joined before this returns or
-    raises, and a worker's first exception is raised here. A chain inside
-    `alongside` (g3's, past a padded width of 16,384) shares its blocks too,
-    beside the caller's workers: accepted for inputs that wide. numpy's ufuncs
-    and copies release the GIL, so the arithmetic runs on every CPU. Each
-    thread owns its buffers and writes disjoint pixels, so no bit depends on
-    the thread count. Workers call only pointwise_channels_first and numpy,
-    never a function in a module's __all__, so a traced run sees one thread.
+    A lone block with no `alongside` runs inline on the calling thread.
+    Otherwise tensor_core._share_work shares the blocks among CPU_THREADS
+    threads: the caller starts the others, runs `alongside` (a fuse stripe's
+    global branch), then claims blocks too; every thread is joined before this
+    returns or raises, and a worker's first exception is raised here. A chain
+    inside `alongside` (g3's, past a padded width of 16,384) shares its blocks
+    too, beside the caller's workers: accepted for inputs that wide. numpy's
+    ufuncs and copies release the GIL, so the arithmetic runs on every CPU.
+    Each thread writes disjoint pixels, so no bit depends on the thread count.
+    Workers call only _run_block, pointwise_channels_first and numpy, never a
+    function in a module's __all__, so a traced run sees one thread.
     """
-    steps = []  # [kernel, whether a relu follows it]
+    steps = []  # [kernel, whether a relu follows it, the dtype it computes in]
+    chans, dtype, widest = x.shape[-1], x.dtype, 0
     for op in ops:
         if isinstance(op, PointwiseKernel):
-            steps.append([op, False])
+            if chans != op.in_channels:
+                raise ValueError(f"channel mismatch: input has {chans}, kernel expects {op.in_channels}")
+            # result_type's rule for two dtypes, at a tenth of its cost
+            chans, dtype = op.out_channels, np.promote_types(dtype, op.weights.dtype)
+            widest = max(widest, chans * dtype.itemsize)
+            steps.append([op, False, dtype])
         elif op == "relu" and steps and not steps[-1][1]:
             steps[-1][1] = True
         else:
             raise ValueError(f"a 1x1 chain runs pointwise kernels, each with an optional relu, not {op!r}")
-    chans, dtypes = [x.shape[-1]], [x.dtype]
-    for kern, _ in steps:
-        if chans[-1] != kern.in_channels:
-            raise ValueError(f"channel mismatch: input has {chans[-1]}, kernel expects {kern.in_channels}")
-        chans.append(kern.out_channels)
-        dtypes.append(np.result_type(dtypes[-1], kern.weights.dtype))
-    xt = x.reshape(-1, chans[0]).T  # (C, P): x's own planes when x is planar
+    xt = x.reshape(-1, x.shape[-1]).T  # (C, P): x's own planes when x is planar
     npix = xt.shape[1]
-    out = np.empty((chans[-1], npix), dtype=dtypes[-1])
+    out = np.empty((chans, npix), dtype=dtype)
     chunk = min(CHUNK_PIXELS, npix)
-    blocks = range(0, npix, max(chunk, 1))
-
-    def run_block(p0, x_buf, acts, prods):
-        c = min(chunk, npix - p0)
-        t = xt[:, p0 : p0 + c]
-        if x_buf is not None:
-            t = x_buf[: chans[0] * c].reshape(chans[0], c)
-            t[...] = xt[:, p0 : p0 + c]
-        for (kern, relu_after), act, prod in zip(steps, acts, prods):
-            n = kern.out_channels
-            y = out if act is None else act[: n * c].reshape(n, c)
-            pointwise_channels_first(t, kern, y, prod[: n * c].reshape(n, c))
-            if relu_after:
-                np.maximum(y, 0.0, out=y)  # relu's ufunc
-            t = y
-        if t is not out:
-            out[:, p0 : p0 + c] = t
+    lone = chunk == npix
+    n_acts = min(2, len(steps) - lone)  # a lone block's last step needs none
 
     def buffer_set():
-        """(x's gather buffer or None, each step's output buffer, each step's product buffer)."""
-        acts = [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:-1], dtypes[1:-1])]
-        acts.append(None if chunk == npix else np.empty(chans[-1] * chunk, dtype=dtypes[-1]))
-        prods = [np.empty(n * chunk, dtype=d) for n, d in zip(chans[1:], dtypes[1:])]
-        return None if xt.strides[1] == xt.itemsize else np.empty(chans[0] * chunk, dtype=x.dtype), acts, prods
+        """(x's gather buffer or None, the activation buffers, the product buffer)."""
+        gather = None if xt.strides[1] == xt.itemsize else np.empty((xt.shape[0], chunk), dtype=x.dtype)
+        return gather, [np.empty(widest * chunk, np.uint8) for _ in range(n_acts)], np.empty(widest * chunk, np.uint8)
 
-    # with zero pixels there is no block, and one empty buffer set, so `alongside` still runs
-    threads = max(1, min(tensor_core.CPU_THREADS, len(blocks)))
-    tensor_core._share_work(blocks, run_block, [buffer_set() for _ in range(threads)], alongside)
-    return _planar(out.reshape((chans[-1],) + x.shape[:-1]))
+    if lone and alongside is None:
+        _run_block(steps, xt, out, 0, *buffer_set())
+    else:
+        blocks = range(0, npix, max(chunk, 1))
+        # with zero pixels there is no block, and one empty buffer set, so `alongside` still runs
+        threads = max(1, min(tensor_core.CPU_THREADS, len(blocks)))
+        tensor_core._share_work(
+            blocks, lambda p0, *bufs: _run_block(steps, xt[:, p0 : p0 + chunk], out, p0, *bufs),
+            [buffer_set() for _ in range(threads)], alongside,
+        )
+    return _planar(out.reshape((chans,) + x.shape[:-1]))
+
+
+def _run_block(steps, t, out, p0, gather, acts, prod):
+    """_run_chain's steps over the (C, c) block t into out[:, p0 : p0 + c].
+
+    Step i writes into acts[i % 2], and the last step of a block as long as
+    out, a lone block, into out itself.
+    """
+    c = t.shape[1]
+    if gather is not None:
+        gather = gather[:, :c]
+        gather[...] = t
+        t = gather
+    last = len(steps) - 1 if c == out.shape[1] else None
+    for i, (kern, relu_after, dtype) in enumerate(steps):
+        shape = (kern.out_channels, c)
+        size = shape[0] * c * dtype.itemsize
+        y = out if i == last else acts[i % 2][:size].view(dtype).reshape(shape)
+        pointwise_channels_first(t, kern, y, prod[:size].view(dtype).reshape(shape))
+        if relu_after:
+            np.maximum(y, 0.0, out=y)  # relu's ufunc
+        t = y
+    if t is not out:
+        out[:, p0 : p0 + c] = t
 
 
 def pointwise_forward(x: np.ndarray, kern: PointwiseKernel) -> np.ndarray:

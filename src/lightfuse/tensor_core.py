@@ -204,7 +204,8 @@ class PpmReader:
 
     Opening parses the header and checks the file size against it, with
     decode_ppm's error messages, before any pixel is read. reader[a:b]
-    returns rows [a, b) as a new uint8 (b - a, W, 3) array; shape, dtype and
+    returns rows [a, b) as a new uint8 (b - a, W, 3) array, and
+    reader.readinto(a, b, out) reads them into a caller's; shape, dtype and
     ndim are those of the decoded image. Each read names its file offset
     (os.preadv), so threads may share a reader. Use as a context manager, or
     call close().
@@ -240,7 +241,13 @@ class PpmReader:
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise TypeError("a PpmReader is indexed by a slice of rows")
         a, b, _ = rows.indices(self.shape[0])
-        out = np.empty((max(0, b - a),) + self.shape[1:], dtype=np.uint8)
+        b = max(a, b)
+        return self.readinto(a, b, np.empty((b - a,) + self.shape[1:], dtype=np.uint8))
+
+    def readinto(self, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Rows [a, b), 0 <= a <= b <= height, read into out, a C-contiguous uint8 (b - a, W, 3) array; returns out."""
+        if out.shape != (b - a,) + self.shape[1:] or out.dtype != np.uint8 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous uint8 {b - a}x{self.shape[1]}x3 array")
         start = self._offset + a * self.shape[1] * 3
         view, got = memoryview(out.reshape(-1)), 0
         while got < out.nbytes:

@@ -234,6 +234,26 @@ def assert_matches_oracles(a, b):
     assert psnr(a, b) == oracle_psnr(a, b)
 
 
+def saturated_pair(kind, h, w):
+    white, black = np.full((h, w, 3), 255, np.uint8), np.zeros((h, w, 3), np.uint8)
+    board = np.where((np.add.outer(np.arange(h), np.arange(w)) % 2 == 0)[:, :, None], white, black)
+    return {
+        "white_white": (white, white.copy()),
+        "white_black": (white, black),
+        "board_inverse": (board, 255 - board),
+        "board_white": (board, white),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["white_white", "white_black", "board_inverse", "board_white"])
+@pytest.mark.parametrize("budget", [metrics.SSIM_STRIPE_PIXELS, 40])
+def test_saturated_pairs_equal_the_oracles(kind, budget):
+    # x*x, y*y and x*y reach 255^2 = 65025, the largest value ssim's maps hold
+    a, b = saturated_pair(kind, 41, 37)
+    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget), threads(2):
+        assert_matches_oracles(a, b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     h=st.integers(11, 90),

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import hwc_reference
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightfuse import nn_ops
+from lightfuse import nn_ops, tensor_core
 from lightfuse.nn_ops import (
     DepthwiseKernel,
     PointwiseKernel,
@@ -421,3 +423,44 @@ def test_run_chain_takes_pointwise_kernels_each_with_an_optional_relu():
     for bad in [("relu", k1), (k1, "relu", "relu"), (k1, "tanh"), (k1, depthwise), (k1, "upsample_nn")]:
         with pytest.raises(ValueError, match="a 1x1 chain runs pointwise kernels"):
             nn_ops._run_chain(x, bad)
+
+
+def chain(widths, dtypes, seed):
+    """Pointwise kernels of the given widths and weight dtypes, each followed by a relu but the last."""
+    ops = []
+    for i, (m, n, dtype) in enumerate(zip(widths, widths[1:], dtypes)):
+        ops.append(PointwiseKernel(rand((m, n), seed=seed + 2 * i).astype(dtype), rand((n,), seed=seed + 2 * i + 1)))
+        ops.append("relu")
+    return tuple(ops[:-1])
+
+
+@pytest.mark.parametrize("npix", [50, 3 * 16 + 5])
+def test_run_chain_views_its_buffers_in_each_steps_dtype(npix):
+    # float32 input; the second step's float64 weights make the rest float64,
+    # and the first step is still the widest in bytes (32 x 4 against 8 x 8)
+    ops = chain((6, 32, 8, 3), (np.float32, np.float64, np.float32), seed=70)
+    x = planar(rand((npix, 6), seed=76))
+    with mock.patch.object(nn_ops, "CHUNK_PIXELS", 64 if npix == 50 else 16), \
+            mock.patch.object(tensor_core, "CPU_THREADS", 2):
+        got = nn_ops._run_chain(x, ops)
+        want = nn_ops.run_ops(ops, x, [])
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes() == hwc_reference.run_ops(ops, np.ascontiguousarray(x), []).tobytes()
+
+
+def test_run_chain_holds_three_buffers_of_its_widest_step_per_thread():
+    # the detail branch's widths on four blocks and two threads: each thread
+    # holds one product buffer and two activation buffers, 32 channels each
+    widths, threads, chunk = (6, 32, 32, 3), 2, nn_ops.CHUNK_PIXELS
+    ops = chain(widths, (np.float32,) * 3, seed=80)
+    x = planar(rand((4 * chunk, 6), seed=86))
+    with mock.patch.object(tensor_core, "CPU_THREADS", threads):
+        nn_ops._run_chain(x, ops)  # warm-up: numpy's and threading's first-call allocations
+        tracemalloc.start()
+        try:
+            nn_ops._run_chain(x, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    output = 4 * chunk * widths[-1] * 4
+    assert peak < output + threads * 3 * max(widths) * chunk * 4 + 64 * 1024

@@ -116,6 +116,12 @@ def test_reader_rows_are_the_decoded_rows(tmp_path):
                 assert rows.tobytes() == img[a:b].tobytes()
         with pytest.raises(TypeError, match="slice of rows"):
             reader[0:7:2]
+        buf = np.zeros((9, 5, 3), dtype=np.uint8)
+        out = buf[:4]
+        assert reader.readinto(2, 6, out) is out and out.tobytes() == img[2:6].tobytes()
+        for bad in (buf[:3], buf[:4, :4], buf[:4, :, ::-1], buf[:4].astype(np.int16)):
+            with pytest.raises(ValueError, match="C-contiguous uint8 4x5x3"):
+                reader.readinto(2, 6, bad)
 
 
 def test_reader_checks_the_file_size_before_reading_pixels(tmp_path):

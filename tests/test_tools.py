@@ -2,18 +2,20 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_digests():
-    spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_digests_print_every_call_of_train_toy(capsys):
-    digests = load_digests()
+    digests = load_tool("digests")
     assert digests.main(["--workload", "train_toy", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     sha = "[0-9a-f]{64}"
@@ -30,7 +32,7 @@ def test_digests_print_every_call_of_train_toy(capsys):
 def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
     from lightfuse import metrics, model, nn_ops
 
-    digests = load_digests()
+    digests = load_tool("digests")
     assert digests.main(["--workload", "library", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     sha = "[0-9a-f]{64}"
@@ -66,7 +68,7 @@ def test_digests_library_lines_cover_both_graphs_and_every_extractor(capsys):
 
 
 def test_digests_fault_lines_give_each_cases_exit_code_stderr_and_listing(capsys):
-    digests = load_digests()
+    digests = load_tool("digests")
     assert digests.main(["--workload", "faults", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(digests.FAULT_CASES)
@@ -84,3 +86,15 @@ def test_digests_fault_lines_give_each_cases_exit_code_stderr_and_listing(capsys
     assert rc == 0 and "out.ppm->out.ppm.target" in listing
     rc, _, listing = cases["train", "t.lfw", "intact"]
     assert rc == 0 and {"t.lfw", "t.csv"} <= {entry.split(":")[0] for entry in listing}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from Linux's /proc/self/status")
+def test_vmhwm_prints_each_calls_peak_from_a_fresh_process(capsys):
+    vmhwm = load_tool("vmhwm")
+    assert vmhwm.main(["64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    matches = [re.fullmatch(r"(fuse|eval) 64x64 rc=0 vmhwm_mb=(\d+\.\d\d)", line) for line in lines]
+    assert all(matches), lines
+    assert [m.group(1) for m in matches] == ["fuse", "eval"]
+    # each process imported numpy and lightfuse.cli, which alone take tens of MB
+    assert all(float(m.group(2)) > 10 for m in matches)
