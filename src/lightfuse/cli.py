@@ -12,6 +12,7 @@ from . import cost_model, fusion, metrics, model, tensor_core, training
 import argparse
 import ctypes
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 EXIT_OK = 0
@@ -170,6 +171,25 @@ def _scene_image(path, read=lambda reader: reader[:]):
     return None
 
 
+class _Patches(Sequence):
+    """Training triples of uint8 patches, each normalized as it is read.
+
+    train_toy reads len(dataset) and dataset[i] only, and normalize works
+    elementwise, so a triple read here holds the floats of one normalized
+    eagerly; the store holds a quarter of their bytes. Iterating yields
+    normalized triples too.
+    """
+
+    def __init__(self, triples):
+        self._triples = triples
+
+    def __len__(self):
+        return len(self._triples)
+
+    def __getitem__(self, i):
+        return tuple(tensor_core.normalize(p) for p in self._triples[i])
+
+
 def _load_training_triples(data_dir):
     root = Path(data_dir)
     if not root.is_dir():
@@ -199,11 +219,10 @@ def _load_training_triples(data_dir):
             continue
         ui, oi = metrics.select_extreme_pair(exposures)
         parts = [
-            [tensor_core.normalize(p) for p in metrics.extract_patches(img, TRAIN_PATCH, TRAIN_PATCH)]
-            for img in (exposures[ui], exposures[oi], label_img)
+            metrics.extract_patches(img, TRAIN_PATCH, TRAIN_PATCH) for img in (exposures[ui], exposures[oi], label_img)
         ]
         triples.extend(zip(*parts))
-    return triples
+    return _Patches(triples)
 
 
 def _keep_freed_heap() -> None:

@@ -221,7 +221,7 @@ def fuse_images(weights: dict, under, over, tile, out=None) -> tuple:
     hp, wp = h + (-h) % div, w + (-w) % div
 
     def rows_in(a, b):
-        x = np.empty((_WIDTHS[0], b - a, wp), dtype=np.float32)
+        x = tensor_core._aligned_empty((_WIDTHS[0], b - a, wp), np.float32)
         real = min(b, h) - a
         x[:3, :real, :w] = tensor_core.normalize(under[a : a + real]).transpose(2, 0, 1)
         x[3:, :real, :w] = tensor_core.normalize(over[a : a + real]).transpose(2, 0, 1)

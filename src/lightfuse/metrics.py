@@ -20,10 +20,12 @@ and the score the same float as the whole-image formulation. A pass reads
 its rows plus the 10 halo rows of each input once, then, channel by
 channel, fills five maps (x, y, x*x, y*y, x*y) into a preallocated uint16
 buffer, which holds 255^2 exactly, and filters them into float64 buffers.
-The filter's first products cast the integers to float64 exactly, and
-each filter pass keeps the pinned order - a zero start, then
-+ kernel[u] * x for u ascending, every product rounded before its add -
-so every map value is the one whole-image filtering gives.
+The filter casts the integers to float64 exactly, and each filter pass
+keeps the pinned order - a zero start, then + kernel[u] * x for u
+ascending, every product rounded before its add - so every map value is
+the one whole-image filtering gives. Every operation of a pass runs on
+contiguous full-width rows, and only the valid columns reach the divide,
+so no pass goes through numpy's buffered iterator, which allocates.
 
 The units are shared out by tensor_core._share_work among
 tensor_core.CPU_THREADS threads (the CPU count every 1x1 chain uses
@@ -104,25 +106,36 @@ def _gaussian_window(n=_SSIM_WINDOW, sigma=_SSIM_SIGMA):
 
 
 def _filter_rows(maps, kernel, tmp, out, prod):
-    """Separable valid correlation of every map into out.
+    """Separable valid correlation of every map into out's first W - n + 1 columns.
 
-    maps is (M, rows + n - 1, W), tmp is (M, rows, W) and out (M, rows,
-    W - n + 1); prod is a flat buffer of at least tmp.size elements that
-    holds the products of either pass. Each pass starts from zero and adds
-    kernel[u] * x for u ascending, one rounded product at a time.
+    maps is (M, rows + n - 1, W) and of nonnegative values; tmp and out are
+    C-ordered (M, rows, W) and prod a flat buffer of at least tmp.size
+    elements that holds the products of either pass. Each pass adds
+    kernel[u] * x for u ascending, one rounded product at a time, onto its
+    first product, which is the pinned zero start plus that product, as
+    every product is >= +0. maps are cast into the buffers by assignment and
+    the horizontal pass runs along out's flattened rows, so neither pass goes
+    through numpy's buffered iterator and no call allocates. Output j of
+    that pass reads values j .. j + n - 1: a valid column reads its own row
+    only, the other columns mix two rows, or two maps at a map's last row,
+    and the last n - 1 values are 0.
     """
     n = kernel.size
-    rows, ow = out.shape[1:]
+    rows = tmp.shape[1]
     wide = prod[: tmp.size].reshape(tmp.shape)
-    narrow = prod[: out.size].reshape(out.shape)
-    tmp[...] = 0.0
-    for u in range(n):
-        np.multiply(maps[:, u : u + rows], kernel[u], out=wide)
+    tmp[...] = maps[:, :rows]
+    np.multiply(tmp, kernel[0], out=tmp)
+    for u in range(1, n):
+        wide[...] = maps[:, u : u + rows]
+        np.multiply(wide, kernel[u], out=wide)
         np.add(tmp, wide, out=tmp)
-    out[...] = 0.0
-    for v in range(n):
-        np.multiply(tmp[:, :, v : v + ow], kernel[v], out=narrow)
-        np.add(out, narrow, out=out)
+    t, o = tmp.reshape(-1), out.reshape(-1)
+    m = t.size - n + 1
+    np.multiply(t[:m], kernel[0], out=o[:m])
+    for v in range(1, n):
+        np.multiply(t[v : v + m], kernel[v], out=prod[:m])
+        np.add(o[:m], prod[:m], out=o[:m])
+    o[m:] = 0.0
 
 
 def _sum_tree(start, size, budget, node):
@@ -183,17 +196,20 @@ def ssim(a, b) -> float:
             rows = last - r0 if last - r0 < 2 * stripe else stripe
             r1 = r0 + rows + halo
             ra, rb = (img[r0:r1] if buf is None else img.readinto(r0, r1, buf[: r1 - r0]) for img, buf in zip((a, b), ins))
-            m, f = maps[:, : rows + halo], filt[:, :rows]
+            m = maps[:, : rows + halo]
+            t, f = (buf[: 5 * rows * w].reshape(5, rows, w) for buf in (tmp, filt))
             for c in range(channels):
                 m[0] = ra[:, :, c]
                 m[1] = rb[:, :, c]
                 np.multiply(m[0], m[0], out=m[2])
                 np.multiply(m[1], m[1], out=m[3])
                 np.multiply(m[0], m[1], out=m[4])
-                _filter_rows(m, win, tmp[:, :rows], f, prod)
+                _filter_rows(m, win, t, f, prod)
+                # full-width rows, which keep every operation contiguous: the
+                # first ow columns are the filtered maps
                 mx, my, vx, vy, cxy = f
-                # the filter's products are spent: reuse prod for four (rows, ow) maps
-                mx2, my2, mxy, num = prod[: 4 * rows * ow].reshape(4, rows, ow)
+                # the filter's products are spent: reuse prod for four (rows, w) maps
+                mx2, my2, mxy, num = prod[: 4 * rows * w].reshape(4, rows, w)
                 # vx, vy, cxy: filtered second moments minus the squared means
                 np.subtract(vx, np.multiply(mx, mx, out=mx2), out=vx)
                 np.subtract(vy, np.multiply(my, my, out=my2), out=vy)
@@ -210,11 +226,17 @@ def ssim(a, b) -> float:
                 np.add(vx, vy, out=vx)
                 np.add(vx, _C2, out=vx)
                 np.multiply(den, vx, out=den)
+                # the other columns mix two maps at a map's last row and may
+                # hold a zero den: only the valid ones, copied into the spent
+                # tmp, reach the divide, which runs contiguous
+                numv, denv = tmp[: 2 * rows * ow].reshape(2, rows, ow)
+                numv[...] = num[:, :ow]
+                denv[...] = den[:, :ow]
                 if one_pass:  # the pass holds the unit's rows of map: reduce them at once
-                    np.divide(num, den, out=num)
-                    sums[c, i] = np.add.reduce(num.reshape(-1)[lo : lo + size])
+                    np.divide(numv, denv, out=numv)
+                    sums[c, i] = np.add.reduce(numv.reshape(-1)[lo : lo + size])
                 else:
-                    np.divide(num, den, out=smap[c, r0 - first : r0 - first + rows])
+                    np.divide(numv, denv, out=smap[c, r0 - first : r0 - first + rows])
             r0 += rows
         if not one_pass:
             for c in range(channels):
@@ -223,17 +245,18 @@ def ssim(a, b) -> float:
     # per thread: ins reads a PpmReader's rows of one pass plus its halo rows
     # (None for an array, whose rows are read in place); maps holds x, y,
     # x*x, y*y and x*y over them as exact integers of at most 255^2, which
-    # the filter's first products cast to float64 exactly; tmp holds the
-    # vertical pass, filt the filtered maps and smap the rows of map of a
-    # unit of more than one pass. The pass buffers are sized by the width
-    # alone, so that they do not change with the height.
+    # the filter casts to float64 exactly; tmp holds the vertical pass, then
+    # the valid columns of the SSIM formula's numerator and denominator;
+    # filt holds the filtered maps at full width, prod the products, and smap
+    # the rows of map of a unit of more than one pass. The pass buffers are
+    # sized by the width alone, so that they do not change with the height.
     buffers = [
         (
             [None if isinstance(img, np.ndarray) else np.empty((pass_rows + halo, w, channels), np.uint8)
              for img in (a, b)],
             np.empty((5, pass_rows + halo, w), np.uint16),
-            np.empty((5, pass_rows, w)),
-            np.empty((5, pass_rows, ow)),
+            np.empty(5 * pass_rows * w),
+            np.empty(5 * pass_rows * w),
             np.empty(5 * pass_rows * w),
             np.empty((channels, unit_rows, ow)),
         )

@@ -124,7 +124,12 @@ class PointwiseKernel:
 # Pixels per channels-first block. With 32 output channels one float32 block
 # of products is 512 KiB, which stays in cache between the multiply and the
 # add. On a 1024x1032 detail branch (2-vCPU x86 host) 4096 took 0.65 s
-# unfused, against 1.31 s at 2048 and 0.72 s at 8192.
+# unfused, against 1.31 s at 2048 and 0.72 s at 8192. The jump below 4096 is
+# numpy's buffered iterator: it copies a broadcast (P,) x (N, 1) multiply's
+# short rows through its 8,192-element buffer, 0.37-0.54 ns per element at
+# P <= 2,048 against 0.09-0.13 ns at P >= 3,072 (float32, N = 32).
+# np.setbufsize(1024) removed the gap in a measurement, but is not called
+# here: a reduction's chunking, and so its bits, can depend on the buffer size.
 CHUNK_PIXELS = 4096
 
 # Largest (pixels, taps, channels) product block depthwise_backward sums in
@@ -176,7 +181,8 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
     activation buffers that the steps write in turn, none where a lone block
     has one step. They are byte buffers sized for the widest step, its
     channels times its dtype's itemsize, and each step views them in its own
-    dtype, which may differ from the step before it.
+    dtype, which may differ from the step before it. The result and every
+    buffer start on a cache line (tensor_core._aligned_empty).
 
     A lone block with no `alongside` runs inline on the calling thread.
     Otherwise tensor_core._share_work shares the blocks among CPU_THREADS
@@ -206,15 +212,16 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
             raise ValueError(f"a 1x1 chain runs pointwise kernels, each with an optional relu, not {op!r}")
     xt = x.reshape(-1, x.shape[-1]).T  # (C, P): x's own planes when x is planar
     npix = xt.shape[1]
-    out = np.empty((chans, npix), dtype=dtype)
+    out = tensor_core._aligned_empty((chans, npix), dtype)
     chunk = min(CHUNK_PIXELS, npix)
     lone = chunk == npix
     n_acts = min(2, len(steps) - lone)  # a lone block's last step needs none
 
     def buffer_set():
-        """(x's gather buffer or None, the activation buffers, the product buffer)."""
-        gather = None if xt.strides[1] == xt.itemsize else np.empty((xt.shape[0], chunk), dtype=x.dtype)
-        return gather, [np.empty(widest * chunk, np.uint8) for _ in range(n_acts)], np.empty(widest * chunk, np.uint8)
+        """(x's gather buffer or None, the activation buffers, the product buffer), each cache-line aligned."""
+        gather = None if xt.strides[1] == xt.itemsize else tensor_core._aligned_empty((xt.shape[0], chunk), x.dtype)
+        acts = [tensor_core._aligned_empty((widest * chunk,), np.uint8) for _ in range(n_acts)]
+        return gather, acts, tensor_core._aligned_empty((widest * chunk,), np.uint8)
 
     if lone and alongside is None:
         _run_block(steps, xt, out, 0, *buffer_set())

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lightfuse import cli, fusion, tensor_core
+from lightfuse import cli, fusion, tensor_core, training
 from lightfuse.model import build_lightfuse, init_weights, save_weights
 from lightfuse.tensor_core import decode_ppm, encode_ppm
 
@@ -283,6 +283,20 @@ def test_train_keeps_its_heap_between_samples(tmp_path):
     assert cli.main(argv) == 0
     samples = 4 * 4  # four 64x64 patches per step
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * samples
+
+
+def test_train_holds_its_patches_as_uint8_and_normalizes_each_read(tmp_path):
+    make_scene(tmp_path / "data" / "scene1", seed=4, hw=128)
+    make_scene(tmp_path / "data" / "scene2", seed=5, hw=64)
+    patches = cli._load_training_triples(tmp_path / "data")
+    assert len(patches) == 5
+    assert all(p.dtype == np.uint8 and p.shape == (64, 64, 3) for triple in patches._triples for p in triple)
+    eager = [tuple(tensor_core.normalize(p) for p in triple) for triple in patches._triples]
+    assert [[p.tobytes() for p in triple] for triple in patches] == [[p.tobytes() for p in t] for t in eager]
+    graph = build_lightfuse()
+    trained = [training.train_toy(graph, init_weights(graph, 3), data, steps=2, seed=3, batch_size=3)[0]
+               for data in (patches, eager)]
+    assert save_weights(trained[0], graph) == save_weights(trained[1], graph)
 
 
 def test_train_scene_without_label_is_skipped(tmp_path, capsys):

@@ -242,16 +242,30 @@ def saturated_pair(kind, h, w):
         "white_black": (white, black),
         "board_inverse": (board, 255 - board),
         "board_white": (board, white),
+        "black_black": (black, black.copy()),
     }[kind]
 
 
-@pytest.mark.parametrize("kind", ["white_white", "white_black", "board_inverse", "board_white"])
+@pytest.mark.parametrize("kind", ["white_white", "white_black", "board_inverse", "board_white", "black_black"])
 @pytest.mark.parametrize("budget", [metrics.SSIM_STRIPE_PIXELS, 40])
 def test_saturated_pairs_equal_the_oracles(kind, budget):
-    # x*x, y*y and x*y reach 255^2 = 65025, the largest value ssim's maps hold
+    # x*x, y*y and x*y reach 255^2 = 65025, the largest value ssim's maps
+    # hold. No operation may overflow, underflow or divide by zero, not even
+    # in the columns past the valid ones that the filter fills.
     a, b = saturated_pair(kind, 41, 37)
-    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget), threads(2):
+    share, units = tensor_core._share_work, []
+
+    def recording(work, *args):
+        units.extend(work)
+        return share(work, *args)
+
+    with mock.patch.object(metrics, "SSIM_STRIPE_PIXELS", budget), threads(2), np.errstate(all="raise"), \
+            mock.patch.object(tensor_core, "_share_work", recording):
         assert_matches_oracles(a, b)
+    # budget 40 makes one-row stripes, and every unit, of at least two rows,
+    # takes several passes; the default budget makes one unit of one pass
+    stripe = min(41 - 10, max(1, budget // 37))
+    assert all(last - first >= 2 * stripe for *_, first, last in units) == (budget == 40)
 
 
 @settings(max_examples=40, deadline=None)

@@ -464,3 +464,22 @@ def test_run_chain_holds_three_buffers_of_its_widest_step_per_thread():
             tracemalloc.stop()
     output = 4 * chunk * widths[-1] * 4
     assert peak < output + threads * 3 * max(widths) * chunk * 4 + 64 * 1024
+
+
+@pytest.mark.parametrize("npix", [3 * 16 + 5, 16])
+def test_run_chain_buffers_start_on_a_cache_line(npix):
+    # gathered (C-ordered) input, several blocks on two threads or one lone block
+    ops = chain((6, 32, 8, 3), (np.float32, np.float64, np.float32), seed=90)
+    x = rand((npix, 6), seed=96)
+    run_block, seen = nn_ops._run_block, []
+
+    def recording(steps, t, out, p0, gather, acts, prod):
+        seen.extend(a for a in (out, gather, *acts, prod) if a is not None)
+        return run_block(steps, t, out, p0, gather, acts, prod)
+
+    with mock.patch.object(nn_ops, "CHUNK_PIXELS", 16), mock.patch.object(tensor_core, "CPU_THREADS", 2), \
+            mock.patch.object(nn_ops, "_run_block", recording):
+        got = nn_ops._run_chain(x, ops)
+    assert got.tobytes() == nn_ops.run_ops(ops, x, []).tobytes()
+    assert len(seen) >= 4
+    assert all(a.ctypes.data % 64 == 0 for a in seen)

@@ -93,8 +93,8 @@ def test_vmhwm_prints_each_calls_peak_from_a_fresh_process(capsys):
     vmhwm = load_tool("vmhwm")
     assert vmhwm.main(["64"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    matches = [re.fullmatch(r"(fuse|eval) 64x64 rc=0 vmhwm_mb=(\d+\.\d\d)", line) for line in lines]
+    matches = [re.fullmatch(r"(fuse|eval|train) 64x64 rc=0 vmhwm_mb=(\d+\.\d\d)", line) for line in lines]
     assert all(matches), lines
-    assert [m.group(1) for m in matches] == ["fuse", "eval"]
+    assert [m.group(1) for m in matches] == ["fuse", "eval", "train"]
     # each process imported numpy and lightfuse.cli, which alone take tens of MB
     assert all(float(m.group(2)) > 10 for m in matches)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import hwc_reference
@@ -326,6 +327,7 @@ def test_backward_walk_reads_one_c_ordered_copy_per_activation(graph):
     weights = init_weights(graph, 0)
     x = np.concatenate([rand((16, 16, 3), 1), rand((16, 16, 3), 2)], axis=2)
     out, pre, tapes = training._forward_cached(graph, weights, x)
+    walked_layers = [[(layer, ops) for layer, ops, _ in tape] for tape in tapes]  # the walk consumes tapes
     op_backward, seen = nn_ops.op_backward, []
 
     def recording(op, x, grad, need_dx=True):
@@ -335,15 +337,34 @@ def test_backward_walk_reads_one_c_ordered_copy_per_activation(graph):
     with mock.patch.object(nn_ops, "op_backward", recording):
         training._backward(graph, tapes, pre, rand(out.shape, 3))
     assert all(x.flags.c_contiguous for x in seen)
+    assert tapes == [[] for _ in graph.branches]
     calls = iter(seen[1:] if graph.merge_add_tanh else seen)  # past the merge's tanh
-    for tape in tapes:
+    for tape in walked_layers:
         above = None
-        for layer, ops, _ in reversed(tape):
+        for layer, ops in reversed(tape):
             walked = [next(calls) for _ in ops]
             if ops == ("relu",) and above is not None:
                 assert walked[0] is above  # the copy the layer above made of the relu's output
             above = walked[-1]
     assert next(calls, None) is None
+
+
+def test_loss_and_grads_frees_each_activation_the_walk_has_passed():
+    # the walk pops each tape entry as it reaches it, so an activation is
+    # freed once its C-ordered copy is used; holding every entry to the end
+    # of the walk peaked at 4.4 MiB on this 64x64 sample
+    graph = build_lightfuse()
+    weights = init_weights(graph, 0)
+    u, o, label = (rand((64, 64, 3), seed) for seed in (11, 12, 13))
+    loss_and_grads(graph, weights, u, o, label)  # warm-up: numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss_and_grads(graph, weights, u, o, label)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 2**20
 
 
 @pytest.mark.parametrize("graph", [build_lightfuse(), build_tcnn()], ids=lambda graph: graph.name)

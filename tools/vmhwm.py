@@ -1,14 +1,16 @@
-"""Peak RSS (VmHWM) of one `lightfuse fuse` and one `eval` call, each in a fresh process.
+"""Peak RSS (VmHWM) of one `lightfuse fuse`, `eval` and `train` call, each in a fresh process.
 
 Usage:
     python3 tools/vmhwm.py [--src DIR] [--tile-size S] SIZE [SIZE ...]
 
-SIZE is HxW, or N for N x N. For each size the script writes an exposure
-pair, a reference image (uint8 noise drawn from seed 1) and lightfuse
-weights (model.init_weights(graph, 1)) into a temporary directory. It then
-runs `fuse under over fused --weights w --tile-size S` (default 32) and
-`eval fused reference`, each through `lightfuse.cli.main` in a new Python
-process with one BLAS thread, and prints one line per call:
+SIZE is HxW, or N for N x N. For each size the script writes a scene
+directory of an exposure pair and a label image (uint8 noise drawn from
+seed 1), and lightfuse weights (model.init_weights(graph, 1)), into a
+temporary directory. It then runs `fuse under over fused --weights w
+--tile-size S` (default 32), `eval fused label` and `train scene t.lfw
+--steps 1` (which holds all the scene's 64x64 patches and steps on a batch
+of at most 20), each through `lightfuse.cli.main` in a new Python process
+with one BLAS thread, and prints one line per call:
 
     fuse 256x256 rc=0 vmhwm_mb=38.23
 
@@ -67,14 +69,18 @@ def main(argv=None) -> int:
     for h, w in args.sizes:
         rng = np.random.default_rng(SEED)
         with tempfile.TemporaryDirectory() as tmp:
-            path = {name: str(Path(tmp) / name) for name in ("under.ppm", "over.ppm", "ref.ppm", "fused.ppm", "w.lfw")}
-            for name in ("under.ppm", "over.ppm", "ref.ppm"):
+            scene = Path(tmp) / "scene"
+            scene.mkdir()
+            path = {name: str(scene / name) for name in ("under.ppm", "over.ppm", "label.ppm")}
+            path.update((name, str(Path(tmp) / name)) for name in ("fused.ppm", "w.lfw", "t.lfw"))
+            for name in ("under.ppm", "over.ppm", "label.ppm"):
                 Path(path[name]).write_bytes(tensor_core.encode_ppm(rng.integers(0, 256, (h, w, 3), dtype=np.uint8)))
             Path(path["w.lfw"]).write_bytes(model.save_weights(model.init_weights(graph, SEED), graph))
             calls = {
                 "fuse": ["fuse", path["under.ppm"], path["over.ppm"], path["fused.ppm"],
                          "--weights", path["w.lfw"], "--tile-size", args.tile_size],
-                "eval": ["eval", path["fused.ppm"], path["ref.ppm"]],
+                "eval": ["eval", path["fused.ppm"], path["label.ppm"]],
+                "train": ["train", str(scene), path["t.lfw"], "--steps", "1"],
             }
             for command, call in calls.items():
                 rc, kb = peak_kb(args.src, call)
