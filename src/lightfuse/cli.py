@@ -158,8 +158,8 @@ def _is_ppm(path) -> bool:
     return path.suffix.lower() == ".ppm"
 
 
-def _scene_image(path, read=lambda reader: reader[:]):
-    """read(the file's PpmReader), by default the decoded image, or None after a warning naming the path."""
+def _scene_image(path, read):
+    """read(the file's PpmReader), or None after a warning naming the path."""
     try:
         with tensor_core.PpmReader(path) as reader:
             return read(reader)
@@ -169,6 +169,11 @@ def _scene_image(path, read=lambda reader: reader[:]):
         reason = f"not readable ({exc.strerror or exc})"
     print(f"warning: {path}: {reason}, skipped", file=sys.stderr)
     return None
+
+
+def _shape_and_mean(reader) -> tuple:
+    """An exposure's shape and mean pixel value, which pick train's and pair's pair, read in stripes."""
+    return reader.shape, metrics._image_mean(reader)
 
 
 class _Patches(Sequence):
@@ -203,25 +208,32 @@ def _load_training_triples(data_dir):
         if not label_path.exists():
             print(f"warning: {scene}: no label.ppm, skipped", file=sys.stderr)
             continue
-        images = [_scene_image(f) for f in sorted(scene.iterdir()) if _is_ppm(f) and f.name.lower() != "label.ppm"]
-        exposures = [img for img in images if img is not None]
+        # only the chosen pair and the label are decoded
+        seen = [
+            (f, _scene_image(f, _shape_and_mean))
+            for f in sorted(scene.iterdir()) if _is_ppm(f) and f.name.lower() != "label.ppm"
+        ]
+        exposures = [(f, *found) for f, found in seen if found is not None]
         if len(exposures) < 2:
             print(f"warning: {scene}: fewer than two exposures, skipped", file=sys.stderr)
             continue
-        label_img = _scene_image(label_path)
-        if label_img is None:
+        label_shape = _scene_image(label_path, lambda reader: reader.shape)
+        if label_shape is None:
             continue
-        if any(img.shape != label_img.shape for img in exposures):
+        paths, shapes, means = zip(*exposures)
+        if any(shape != label_shape for shape in shapes):
             print(f"warning: {scene}: image dimensions differ, skipped", file=sys.stderr)
             continue
-        if min(label_img.shape[0], label_img.shape[1]) < TRAIN_PATCH:
+        if min(label_shape[0], label_shape[1]) < TRAIN_PATCH:
             print(f"warning: {scene}: smaller than {TRAIN_PATCH}x{TRAIN_PATCH}, skipped", file=sys.stderr)
             continue
-        ui, oi = metrics.select_extreme_pair(exposures)
+        ui, oi = metrics._extreme_pair(shapes, means)
         parts = [
-            metrics.extract_patches(img, TRAIN_PATCH, TRAIN_PATCH) for img in (exposures[ui], exposures[oi], label_img)
+            _scene_image(f, lambda reader: metrics.extract_patches(reader, TRAIN_PATCH, TRAIN_PATCH))
+            for f in (paths[ui], paths[oi], label_path)
         ]
-        triples.extend(zip(*parts))
+        if None not in parts:
+            triples.extend(zip(*parts))
     return _Patches(triples)
 
 
@@ -280,7 +292,7 @@ def cmd_pair(args) -> int:
         if not _is_ppm(f):
             print(f"warning: {f.name}: not a PPM file, skipped", file=sys.stderr)
             continue
-        seen = _scene_image(f, lambda reader: (reader.shape, metrics._image_mean(reader)))
+        seen = _scene_image(f, _shape_and_mean)
         if seen is not None:
             found.append((f.name, *seen))
     if len(found) < 2:

@@ -29,17 +29,33 @@ A whole forward pass (fused_forward, and fuse_images for 8-bit images) runs
 in horizontal stripes of output rows, in units of 8 rows, so no full-size
 intermediate exists. Each stripe's detail branch is one run_detailnet_fused
 call, its tile clamped to the stripe's height, and the stripe's global
-branch runs on the calling thread while the blocks run. The global branch
-of a stripe starting at row r0 > 0 runs on input rows [r0 - 8, r1): a
-stride-2 3x3 layer reads one row above each output row's centre, so only
-output row 0 of g1, g2 and g3 sees the window's zero padding, and that one
-g3 row is the 8 output rows dropped after the upsampling. The bottom
-padding of an even-height input is never read. Every kept row is therefore
-the one model.forward computes. Stripes run in row order; reading the input
-rows, the merge, the finiteness check and writing the output rows stay on
-the calling thread, so the first non-finite stripe is the one reported.
+branch runs on the calling thread while the blocks run: only its encoder,
+g1..g3 with their ReLUs, up to the trailing nearest-neighbour upsamplings.
+The global branch of a stripe starting at row r0 > 0 runs on input rows
+[r0 - 8, r1): a stride-2 3x3 layer reads one row above each output row's
+centre, so only output row 0 of g1, g2 and g3 sees the window's zero
+padding, and that one g3 row is dropped. The bottom padding of an
+even-height input is never read. Every kept row is therefore the one
+model.forward computes.
+
+The merge adds the g3 map at 1/8 scale: the planar detail output, seen as
+(3, R, 8, C, 8), takes the (3, R, C) map broadcast over each 8 x 8 block,
+global + detail in place, then tanh. Upsampling only copies values, so each
+sum and each tanh is the float model.forward computes; up1..up3 do not run
+here (model.forward and run_branch keep them).
+
+A stripe's buffers are made in this order: its input rows, the detail
+output, each worker's block buffers (the worker then starts), the global
+branch's temporaries, freed when it returns but for the g3 map, and only
+then the calling thread's block buffers (tensor_core._share_work), which
+reuse the global branch's heap space. The detail output is freed before
+the next stripe's input rows are read. Stripes run in row order; reading
+the input rows, the merge, the finiteness check and writing the output
+rows stay on the calling thread, so the first non-finite stripe is the one
+reported.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +75,25 @@ _BYTES_F32 = 4
 # branch's chain of 1x1 convs (6, 32, 32, 3).
 _GRAPH = model.build_lightfuse()
 _GLOBAL, _DETAIL = (layers for _, layers in _GRAPH.branches)
+# The global branch's layers before its trailing nearest-neighbour
+# upsamplings (g1..g3 and their ReLUs), and the upsamplings' joint factor (8),
+# which the stripe merge broadcasts instead of running them.
+_ENCODER = _GLOBAL[: max(i + 1 for i, layer in enumerate(_GLOBAL) if layer.kind != "upsample_nn")]
+_UPSCALE = math.prod(model.spatial_factor(layer)[0] for layer in _GLOBAL[len(_ENCODER) :])
 _WIDTHS = (_DETAIL[0].in_channels,) + tuple(layer.out_channels for layer in _DETAIL if layer.kind == "pointwise")
 # input tile channels + the two widest intermediate widths (6 + 32 + 32)
 _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 
 # Output pixels per forward stripe (padded width times rows, in units of 8
-# rows, at least one): 48 rows at W=1032. Swept at 1021x1027 on two fuse
+# rows, at least one): 40 rows at W=1032. Swept at 1021x1027 on two fuse
 # threads (2-vCPU x86 host, in-process fuse_images), with each thread's
 # block buffers three of the widest step: traced peak 8.87 MiB at 73728
 # (64 rows), 6.89 here, 6.22 at 36864 and 4.90 at 24576; median time 0.392,
 # 0.418 and 0.434 s at the first three in 15 shuffled rounds, as each stripe
 # re-reads 8 halo rows and ends when both threads have finished its blocks
-# (README, "Tile-fused execution").
+# (README, "Tile-fused execution"). With the global branch run before the
+# calling thread's buffers are made, and the g3 map broadcast in the merge,
+# the traced peaks (uint8 output excluded) are 6.61, 4.91, 4.42 and 3.81 MiB.
 FUSE_STRIPE_PIXELS = 49152
 
 
@@ -158,7 +181,7 @@ def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> Traf
     Returns the whole image's TrafficReport.
     """
     s = _tile_side(tile, h, w)
-    halo = _GRAPH.spatial_divisor  # one g3 row
+    halo = _GRAPH.spatial_divisor  # one encoder output row
     for r0, r1 in _stripes(h, w):
         a = max(0, r0 - halo)
         x = rows_in(a, r1)
@@ -166,14 +189,22 @@ def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> Traf
         # a stripe shorter than the tile is reported as one tile of its height
         d_out, _ = run_detailnet_fused(
             x[r0 - a :], weights, min(s, r1 - r0),
-            alongside=lambda: g_out.append(model.run_branch(_GLOBAL, weights, x)),
+            alongside=lambda: g_out.append(model.run_branch(_ENCODER, weights, x)),
         )
         del x
         # both branches compute in result_type(input, weights), so the merge
-        # can overwrite the detail output without a cast
-        out = nn_ops.tanh(nn_ops.add(g_out[0][r0 - a :], d_out, out=d_out), out=d_out)
-        tensor_core.require_finite(out, "model output")
-        rows_out(r0, r1, out)
+        # can overwrite the detail output without a cast; the planar detail
+        # output seen as (3, R, 8, C, 8) takes the encoder's (3, R, C) map
+        # broadcast over each 8 x 8 block, the values the upsamplings copy
+        g = g_out.pop()[(r0 - a) // _UPSCALE :].transpose(2, 0, 1)
+        d = d_out.transpose(2, 0, 1).reshape(
+            (d_out.shape[2], g.shape[1], _UPSCALE, g.shape[2], _UPSCALE), copy=False
+        )
+        nn_ops.add(np.broadcast_to(g[:, :, np.newaxis, :, np.newaxis], d.shape), d, out=d)
+        nn_ops.tanh(d_out, out=d_out)
+        tensor_core.require_finite(d_out, "model output")
+        rows_out(r0, r1, d_out)
+        del d_out, d  # not alive beside the next stripe
     return _fused_traffic(h, w, s)
 
 

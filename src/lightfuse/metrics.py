@@ -29,7 +29,7 @@ so no pass goes through numpy's buffered iterator, which allocates.
 
 The units are shared out by tensor_core._share_work among
 tensor_core.CPU_THREADS threads (the CPU count every 1x1 chain uses
-too). Each thread owns one set of buffers, allocated by the caller: the
+too). Each thread owns one set of buffers, made on the calling thread: the
 pass buffers, sized by the width alone so that they do not change with
 the height; the uint8 rows a pass reads from a PpmReader
 (PpmReader.readinto), so no pass allocates; and, for a unit of more than
@@ -250,8 +250,8 @@ def ssim(a, b) -> float:
     # filt holds the filtered maps at full width, prod the products, and smap
     # the rows of map of a unit of more than one pass. The pass buffers are
     # sized by the width alone, so that they do not change with the height.
-    buffers = [
-        (
+    def buffer_set():
+        return (
             [None if isinstance(img, np.ndarray) else np.empty((pass_rows + halo, w, channels), np.uint8)
              for img in (a, b)],
             np.empty((5, pass_rows + halo, w), np.uint16),
@@ -260,9 +260,8 @@ def ssim(a, b) -> float:
             np.empty(5 * pass_rows * w),
             np.empty((channels, unit_rows, ow)),
         )
-        for _ in range(min(tensor_core.CPU_THREADS, len(units)))
-    ]
-    tensor_core._share_work(units, run_unit, buffers)
+
+    tensor_core._share_work(units, run_unit, buffer_set, min(tensor_core.CPU_THREADS, len(units)))
     unit_sums = iter(sums.T)
     totals = _sum_tree(0, n, budget, lambda start, size: next(unit_sums))  # one per channel
     return float(np.mean(totals / n))
@@ -306,18 +305,21 @@ def select_extreme_pair(images) -> tuple:
     return _extreme_pair([img.shape for img in images], [_image_mean(img) for img in images])
 
 
-def extract_patches(img: np.ndarray, size: int = 256, stride: int = 256):
+def extract_patches(img, size: int = 256, stride: int = 256):
     """Non-overlapping size x size patches from the top-left grid.
 
-    Residual borders smaller than the patch size are discarded.
+    Residual borders smaller than the patch size are discarded. img is an
+    array or a tensor_core.PpmReader; each band of `size` rows is read once,
+    so a reader is never decoded whole.
     """
     h, w = img.shape[:2]
     if h < size or w < size:
         raise ValueError(f"image {h}x{w} is smaller than the {size}x{size} patch size")
     patches = []
     for r in range(0, h - size + 1, stride):
+        band = img[r : r + size]
         for c in range(0, w - size + 1, stride):
-            patches.append(img[r : r + size, c : c + size].copy())
+            patches.append(band[:, c : c + size].copy())
     return patches
 
 

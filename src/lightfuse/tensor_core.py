@@ -75,22 +75,30 @@ def _aligned_empty(shape: tuple, dtype) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
-def _share_work(units, run, buffers, alongside=None) -> None:
-    """run(unit, *buffers[i]) for every unit, on len(buffers) threads.
+def _share_work(units, run, make_buffers, threads, alongside=None) -> None:
+    """run(unit, *bufs) for every unit, on `threads` threads, each with its own bufs = make_buffers().
 
-    The calling thread starts one thread per buffer set after the first;
-    each thread claims units one at a time, in order, from a shared
-    iterator. The calling thread then calls `alongside`, if given, with no
-    arguments, and claims units too, with buffers[0]. A worker runs in a
-    copy of the caller's context, which carries its np.errstate. Every
-    thread is joined before this returns or raises. An exception on the
-    calling thread is raised as it is; otherwise the first exception of a
-    worker is raised here. Workers stop at their next claim once any thread
-    has failed.
+    The calling thread makes every buffer set. It starts threads - 1
+    workers, making each one's set just before starting it; each thread
+    claims units one at a time, in order, from a shared iterator. The
+    calling thread then calls `alongside`, if given, with no arguments,
+    and only after it returns makes its own set and claims units too. So
+    what `alongside` allocates and frees (a fuse stripe's global branch)
+    is never alive beside the caller's set, which reuses that heap space.
+    Sets are never made on a worker: glibc would serve them from a second
+    malloc arena, whose freed pages the calling thread's later allocations
+    do not reuse, so a process that fuses again and again would keep both
+    arenas' pages resident.
+
+    A worker runs in a copy of the caller's context, which carries its
+    np.errstate. Every thread is joined before this returns or raises. An
+    exception on the calling thread is raised as it is; otherwise the
+    first exception of a worker is raised here. Workers stop at their next
+    claim once any thread has failed.
     """
     pending, claim, failed = iter(units), threading.Lock(), []
 
-    def run_units(*bufs):
+    def run_units(bufs):
         while not failed:
             with claim:
                 unit = next(pending, None)
@@ -98,21 +106,21 @@ def _share_work(units, run, buffers, alongside=None) -> None:
                 return
             run(unit, *bufs)
 
-    def worker(*bufs):
+    def worker(bufs):
         try:
-            run_units(*bufs)
+            run_units(bufs)
         except BaseException as exc:
             failed.append(exc)
 
     started = []
     try:
-        for bufs in buffers[1:]:
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, *bufs))
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, make_buffers()))
             thread.start()
             started.append(thread)
         if alongside is not None:
             alongside()
-        run_units(*buffers[0])
+        run_units(make_buffers())
     except BaseException as exc:
         failed.append(exc)  # the workers stop at their next claim
         raise

@@ -381,8 +381,12 @@ def test_fuse_graph_meets_the_halo_rule():
     """The stripe halo of 8 input rows holds for three stride-2 3x3 encoder layers."""
     assert fusion._GRAPH == build_lightfuse()
     assert fusion._GRAPH.spatial_divisor == 8
-    encoder = [(layer.name, layer.k, layer.stride) for layer in fusion._GLOBAL if layer.kind != "relu"][:3]
+    encoder = [(layer.name, layer.k, layer.stride) for layer in fusion._ENCODER if layer.kind != "relu"]
     assert encoder == [("g1", 3, 2), ("g2", 3, 2), ("g3", 3, 2)]
+    # the merge broadcasts g3's ReLU output over the three x2 upsamplings
+    assert fusion._ENCODER[-1].name == "g3_relu"
+    assert [layer.name for layer in fusion._GLOBAL[len(fusion._ENCODER):]] == ["up1", "up2", "up3"]
+    assert fusion._UPSCALE == fusion._GRAPH.spatial_divisor
 
 
 # ------------------------------------------------------------------ stripes
@@ -445,6 +449,38 @@ def test_striped_fuse_equals_whole_image_forward(case):
     assert forward_out.tobytes() == model.forward(graph, weights, u, o).tobytes()
 
 
+@st.composite
+def odd_images_of_one_to_three_stripes(draw):
+    """(h, w, stripe budget, tile, seed): odd sides, so both are edge-padded, over 1 to 3 stripes."""
+    w = draw(st.integers(0, 48)) * 2 + 1
+    wp = w + (-w) % 8
+    stripe = 8 * draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    h = draw(st.integers((n - 1) * stripe // 2, n * stripe // 2 - 1)) * 2 + 1
+    hp = h + (-h) % 8
+    return h, w, stripe * wp, draw(st.integers(1, min(hp, wp))), draw(st.integers(0, 2**16))
+
+
+@example(case=(47, 97, 24 * 104, 8, 0))  # two 24-row stripes, the second ending in a padded row
+@example(case=(1, 1, 8 * 8, 1, 1))  # one stripe of one real pixel
+@given(case=odd_images_of_one_to_three_stripes())
+@settings(max_examples=25, deadline=None)
+def test_fuse_images_equals_the_denormalized_forward_on_one_and_two_threads(case):
+    # the merge adds g3's map broadcast over 8 x 8 blocks, and each stripe
+    # after the first drops one g3 row of halo: every byte is model.forward's
+    h, w, budget, tile, seed = case
+    graph = build_lightfuse()
+    weights = random_weights(seed)
+    rng = np.random.default_rng(seed)
+    under = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    over = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    reference = edge_padded_reference(graph, weights, under, over)[2]
+    for n in (1, 2):
+        with mock.patch.object(fusion, "FUSE_STRIPE_PIXELS", budget), threads(n):
+            fused, _ = fusion.fuse_images(weights, under, over, tile)
+        assert fused.tobytes() == reference.tobytes(), n
+
+
 def test_fuse_images_clamps_tile_to_the_padded_image(weights):
     under = np.zeros((5, 12, 3), dtype=np.uint8)
     _, traffic = fusion.fuse_images(weights, under, under, 32)
@@ -484,6 +520,24 @@ def test_fuse_memory_grows_only_by_its_uint8_output_on_two_threads(weights):
     # tracemalloc traces the worker thread's allocations too
     with threads(2):
         test_fuse_memory_grows_only_by_its_uint8_output(weights)
+
+
+def test_a_fuse_stripe_never_holds_its_global_branch_beside_both_threads_buffers(weights):
+    # three 48-row stripes at the default budget: each holds its input rows
+    # and halo, the detail output and two threads' block buffers (three of
+    # the widest step each). The global branch's temporaries, 2.05 MiB, are
+    # freed before the calling thread makes its buffers, so they exceed one
+    # thread's set by about 0.55 MiB; alive beside both, or beside the
+    # previous stripe's detail output, they would exceed the bound
+    h, w = 141, 1021
+    wp = 1024
+    assert fusion._stripes(144, wp) == [(0, 48), (48, 96), (96, 144)]
+    stripe_in = fusion._WIDTHS[0] * (48 + 8) * wp * 4
+    detail_out = fusion._WIDTHS[-1] * 48 * wp * 4
+    block_set = 3 * max(fusion._WIDTHS) * nn_ops.CHUNK_PIXELS * 4
+    with threads(2):
+        peak = _fuse_peak(weights, h, w)
+    assert peak - h * w * 3 <= stripe_in + detail_out + 2 * block_set + (1 << 20)
 
 
 def test_fuse_memory_does_not_grow_with_the_tile(weights):

@@ -397,6 +397,31 @@ def test_spelled_out_sums_follow_numpys_order(rows, cols, channels, stride, seed
     assert same_results(depthwise_backward(planar(x), kern, grad), hwc_reference.depthwise_backward(x, kern, grad))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 300),
+    cols=st.integers(1, 40),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_sums_equal_numpys_reduce(rows, cols, dtype, seed):
+    """The backward's bias and tap sums give np.add.reduce's bytes on finite values.
+
+    Magnitudes over twelve decades, with signed zeros, subnormals and values
+    near the dtype's maximum, whose sums overflow to infinities.
+    """
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-6, 7, (rows, cols))).astype(dtype)
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max], dtype)
+    mask = rng.random(a.shape) < 0.1
+    a[mask] = rng.choice(special, int(mask.sum()))
+    if rng.random() < 0.2:
+        a[:, rng.integers(cols)] = -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_results(nn_ops._column_sums(a), np.add.reduce(a, axis=0))
+
+
 @pytest.mark.parametrize("first", ["depthwise", "pointwise", "relu"])
 def test_backward_ops_can_skip_the_first_kernels_input_gradient(first):
     x, g = rand((6, 6, 3), seed=50), rand((6, 6, 4), seed=51)

@@ -1,10 +1,11 @@
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lightfuse import fusion, metrics, model
+from lightfuse import fusion, metrics, model, tensor_core
 from lightfuse.tensor_core import (
     PpmParseError,
     PpmReader,
@@ -341,3 +342,37 @@ def test_denormalize_matches_seed_formula_at_edges_and_halves(dtype):
     assert got.dtype == np.uint8
     assert got.tobytes() == _seed_denormalize(t).tobytes()
     assert t.tobytes() == before
+
+
+# ------------------------------------------------------------ shared work
+
+
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_share_work_makes_every_buffer_set_on_the_calling_thread_its_own_after_alongside(n_threads):
+    caller = threading.current_thread()
+    events, ran, lock = [], [], threading.Lock()
+    caller_ran = threading.Event()
+
+    def make_buffers():
+        assert threading.current_thread() is caller
+        events.append("make")
+        return (events.count("make"),)  # the set's number
+
+    def run(unit, number):
+        on_caller = threading.current_thread() is caller
+        if on_caller:
+            caller_ran.set()
+        else:
+            # a worker holds its unit until the calling thread has run one,
+            # so the caller is sure to claim units with its own set
+            assert caller_ran.wait(10)
+        with lock:
+            ran.append((unit, on_caller, number))
+
+    tensor_core._share_work(range(20), run, make_buffers, n_threads, alongside=lambda: events.append("alongside"))
+    assert events == ["make"] * (n_threads - 1) + ["alongside", "make"]
+    assert sorted(unit for unit, _, _ in ran) == list(range(20))
+    # the caller runs with the set made last, each worker with one of its own
+    assert {number for _, on_caller, number in ran if on_caller} == {n_threads}
+    worker_sets = [number for _, on_caller, number in ran if not on_caller]
+    assert set(worker_sets) <= set(range(1, n_threads))

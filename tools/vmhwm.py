@@ -1,4 +1,4 @@
-"""Peak RSS (VmHWM) of one `lightfuse fuse`, `eval` and `train` call, each in a fresh process.
+"""Peak RSS (VmHWM) and traced peak of one `lightfuse fuse`, `eval` and `train` call, each in fresh processes.
 
 Usage:
     python3 tools/vmhwm.py [--src DIR] [--tile-size S] SIZE [SIZE ...]
@@ -12,12 +12,16 @@ temporary directory. It then runs `fuse under over fused --weights w
 of at most 20), each through `lightfuse.cli.main` in a new Python process
 with one BLAS thread, and prints one line per call:
 
-    fuse 256x256 rc=0 vmhwm_mb=38.23
+    fuse 256x256 rc=0 vmhwm_mb=34.77 traced_mb=5.17
 
 vmhwm_mb is the process's VmHWM from /proc/self/status (Linux) in units of
 1024 kB, read after the call returns. It includes the interpreter, numpy and
-lightfuse.cli imports. The lightfuse package comes from --src (default: src/
-beside this script's directory).
+lightfuse.cli imports. traced_mb is the call's own working set: the peak of
+the memory Python and numpy allocate during the call (tracemalloc, started
+after the imports), in units of 2^20 bytes. It comes from a second fresh
+process running the same call, so that tracing adds nothing to vmhwm_mb.
+The lightfuse package comes from --src (default: src/ beside this script's
+directory).
 """
 
 import argparse
@@ -32,12 +36,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# argv: src dir, then the CLI's arguments; prints "<rc> <VmHWM in kB>"
-CHILD = (
-    "import sys, numpy; sys.path.insert(0, sys.argv[1]); import lightfuse.cli; "
+# argv: src dir, then the CLI's arguments; VMHWM_CHILD prints "<rc> <VmHWM in kB>",
+# TRACED_CHILD "<rc> <traced peak in bytes>"
+_IMPORTS = "import sys, numpy; sys.path.insert(0, sys.argv[1]); import lightfuse.cli; "
+VMHWM_CHILD = _IMPORTS + (
     "rc = lightfuse.cli.main(sys.argv[2:]); "
     "hwm = next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')); "
     "print(rc, hwm)"
+)
+TRACED_CHILD = _IMPORTS + (
+    "import tracemalloc; tracemalloc.start(); "
+    "rc = lightfuse.cli.main(sys.argv[2:]); "
+    "print(rc, tracemalloc.get_traced_memory()[1])"
 )
 
 
@@ -46,14 +56,14 @@ def parse_size(text: str) -> tuple:
     return int(h), int(w or h)
 
 
-def peak_kb(src, argv) -> tuple:
-    """(exit code, VmHWM in kB) of one lightfuse.cli.main(argv) call in a fresh process."""
+def run_child(child, src, argv) -> tuple:
+    """(exit code, measured value) that `child` prints for one lightfuse.cli.main(argv) call in a fresh process."""
     env = dict(os.environ, **{name: "1" for name in BLAS_THREADS})
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", child, str(src), *argv], env=env, capture_output=True, text=True, check=True
     )
-    rc, kb = done.stdout.splitlines()[-1].split()
-    return int(rc), int(kb)
+    rc, value = done.stdout.splitlines()[-1].split()
+    return int(rc), int(value)
 
 
 def main(argv=None) -> int:
@@ -83,8 +93,11 @@ def main(argv=None) -> int:
                 "train": ["train", str(scene), path["t.lfw"], "--steps", "1"],
             }
             for command, call in calls.items():
-                rc, kb = peak_kb(args.src, call)
-                print(f"{command} {h}x{w} rc={rc} vmhwm_mb={kb / 1024:.2f}", flush=True)
+                rc, kb = run_child(VMHWM_CHILD, args.src, call)
+                traced_rc, traced = run_child(TRACED_CHILD, args.src, call)
+                if traced_rc != rc:
+                    raise RuntimeError(f"{command} {h}x{w}: exit code {rc}, then {traced_rc} traced")
+                print(f"{command} {h}x{w} rc={rc} vmhwm_mb={kb / 1024:.2f} traced_mb={traced / 2**20:.2f}", flush=True)
     return 0
 
 
