@@ -8,7 +8,9 @@ alternative schedules can be compared bit for bit.
 This module is the one owner of which forward goes with which backward:
 op_forward and op_backward pair them for one primitive - a DepthwiseKernel,
 a PointwiseKernel, or one of "relu", "tanh", "upsample_nn" - and run_ops and
-backward_ops walk an op tuple forward, keeping each op's input, and back.
+backward_ops walk an op tuple forward, keeping each op's input, and back. A
+relu keeps its output instead, which relu_backward reads alike, so a tape
+holds no pre-activation.
 
 Layout. Activations and gradients are (H, W, C) arrays (any leading dims
 for the 1x1 kernel), and every kernel accepts them in any memory order.
@@ -40,7 +42,8 @@ The backward kernels therefore return their gradients C-ordered, the order
 the next backward reduction reads; relu_backward and tanh_backward do too.
 training pins its loss sums the same way (training._diff), and its
 backward walk hands the kernels C-ordered copies of the activations they
-read, one per activation (training._backward).
+read, one per activation, a relu's being the copy the layer above it made
+of its output (training._backward).
 
 depthwise_backward and pointwise_backward take need_dx=False to skip dx:
 the first kernel of a branch needs none, as the network input takes no
@@ -410,9 +413,9 @@ def upsample_backward(grad):
     return out
 
 
-def relu_backward(x, grad):
-    """grad where x > 0, else 0; x may be relu's input or its output, which is > 0 at the same elements."""
-    return np.multiply(grad, np.greater(x, 0, order="C"), order="C")
+def relu_backward(x, grad, out=None):
+    """grad where x > 0, else 0 (out=grad masks in place); x: relu's input or output, > 0 at the same elements."""
+    return np.multiply(grad, np.greater(x, 0, order="C"), out=out, order="C")
 
 
 def tanh_backward(x, grad):
@@ -440,13 +443,14 @@ def op_forward(op, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown op {op!r}")
 
 
-def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True) -> tuple:
+def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True, in_place: bool = False) -> tuple:
     """Backward of op_forward(op, x): (dx, parameter gradients).
 
     The parameter gradients are (dweights, dbias), or (dweights,) for a
     bias-free depthwise kernel, and () for the parameter-free ops. With
-    need_dx False a kernel's dx is not computed and comes back None. The
-    kernels are called through this module's globals, as in op_forward.
+    need_dx False a kernel's dx is not computed and comes back None; with
+    in_place a relu masks grad itself and returns it. The kernels are
+    called through this module's globals, as in op_forward.
     """
     if isinstance(op, DepthwiseKernel):
         dx, dw, db = depthwise_backward(x, op, grad, need_dx=need_dx)
@@ -455,7 +459,7 @@ def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True) -> tu
         dx, dw, db = pointwise_backward(x, op, grad, need_dx=need_dx)
         return dx, (dw, db)
     if op == "relu":
-        return relu_backward(x, grad), ()
+        return relu_backward(x, grad, out=grad if in_place else None), ()
     if op == "tanh":
         return tanh_backward(x, grad), ()
     if op == "upsample_nn":
@@ -464,21 +468,23 @@ def op_backward(op, x: np.ndarray, grad: np.ndarray, need_dx: bool = True) -> tu
 
 
 def run_ops(ops, x: np.ndarray, inputs: list) -> np.ndarray:
-    """op_forward over ops in order, appending each op's input to `inputs`."""
+    """op_forward over ops in order, appending to `inputs` each op's input, or for a relu its output."""
     for op in ops:
-        inputs.append(x)
-        x = op_forward(op, x)
+        y = op_forward(op, x)
+        inputs.append(y if op == "relu" else x)
+        x = y
     return x
 
 
-def backward_ops(ops, inputs, grad: np.ndarray, need_dx: bool = True) -> tuple:
+def backward_ops(ops, inputs, grad: np.ndarray, need_dx: bool = True, in_place: bool = False) -> tuple:
     """Backward of run_ops(ops, x, inputs): (dx, parameter gradients in op order).
 
-    With need_dx False the first op's kernel skips its dx, which may then be None.
+    With need_dx False the first op's kernel skips its dx, which may then be
+    None; with in_place the caller hands grad over, and a relu masks in place.
     """
     pgrads = []
     for i in reversed(range(len(ops))):
-        grad, op_grads = op_backward(ops[i], inputs[i], grad, need_dx or i > 0)
+        grad, op_grads = op_backward(ops[i], inputs[i], grad, need_dx or i > 0, in_place)
         pgrads[:0] = op_grads
     return grad, tuple(pgrads)
 

@@ -91,7 +91,7 @@ class _StageExtractor:
         grad = None
         for ops, inputs, d in reversed(list(zip(self.stages, tapes, diffs))):
             sign = np.sign(d).astype(out.dtype)  # own sign term + the gradient from above
-            grad, _ = nn_ops.backward_ops(ops, inputs, sign if grad is None else sign + grad)
+            grad, _ = nn_ops.backward_ops(ops, inputs, sign if grad is None else sign + grad, in_place=True)
         return loss, grad
 
     def loss_grad(self, out, label):
@@ -163,9 +163,11 @@ def _forward_cached(graph, weights, x):
 def _backward(graph, tapes, merge_pre, out_grad):
     """Exact gradients of every parameter for the cached forward pass.
 
-    The walk consumes `tapes`: it pops each layer's entry as it reaches it,
-    so an activation is freed once its C-ordered copy has been used, and the
-    tapes are empty on return.
+    The walk consumes `tapes`: it pops each layer's entry as it reaches it and
+    copies its activations C-ordered. A relu's entry holds relu's output, the
+    layer above's input, so that layer hands its copy down to it; each
+    activation is freed once its last reader has run, and the tapes are empty
+    on return.
     """
     grads = {}
     if graph.merge_add_tanh:
@@ -174,19 +176,20 @@ def _backward(graph, tapes, merge_pre, out_grad):
     else:
         branch_grads = [out_grad]
     for tape, g in zip(tapes, branch_grads):
-        above = None  # the C-ordered input of the layer walked last: this layer's output
         while tape:
-            layer, ops, inputs = tape.pop()
-            if ops == ("relu",) and above is not None:
-                inputs = (above,)  # relu's output is > 0 where its input is
+            layer, ops, inputs = tape.pop()  # frees the last layer's copies, bar one handed down
+            # an entry ending in a relu keeps relu's output: this layer's input
+            below = tape[-1][2] if tape and tape[-1][2][-1] is inputs[0] else None
             # one C-ordered copy per activation, here and for the merge: nn_ops
             # stores them planar, and the backward reductions and masks read
             # (H, W, C) rows
             inputs = [np.ascontiguousarray(a) for a in inputs]
-            # the network input needs no gradient: a branch's first kernel skips its dx
-            g, pgrads = nn_ops.backward_ops(ops, inputs, g, need_dx=bool(tape))  # in param_entries order
-            grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))
-            above = inputs[0]
+            if below is not None:
+                below[-1] = inputs[0]  # the relu reads this copy, and the planar original is freed
+            # the network input needs no gradient: a branch's first kernel skips its dx;
+            # a relu masks in place each gradient the walk made, not the one a branch starts from
+            g, pgrads = nn_ops.backward_ops(ops, inputs, g, need_dx=bool(tape), in_place=g is not branch_grads[0])
+            grads.update(zip((key for key, _, _ in model.param_entries(layer)), pgrads))  # param_entries order
     return grads
 
 

@@ -237,15 +237,21 @@ def test_relu_backward_zero_below_zero():
     assert np.array_equal(relu_backward(x, g), np.array([0.0, 5.0], dtype=np.float32))
 
 
-def test_relu_backward_reads_relus_input_or_output_alike():
-    x = np.concatenate([
-        rand((250,), seed=56),
-        np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45], dtype=np.float32),
-    ]).reshape(1, 257, 1)
-    g = rand(x.shape, seed=57)
-    want = relu_backward(x, g)
-    assert relu_backward(relu(x), g).tobytes() == want.tobytes()
-    assert relu_backward(planar(relu(x)), planar(g)).tobytes() == want.tobytes()
+def test_backward_ops_masks_a_handed_over_gradient_in_place():
+    """run_ops keeps a relu's output; backward_ops masks grad itself only where the caller hands it over."""
+    x, g = rand((6, 6, 3), seed=61), rand((6, 6, 4), seed=62)
+    ops = (PointwiseKernel(rand((3, 4), seed=63), rand((4,), seed=64)), "relu")
+    inputs = []
+    y = nn_ops.run_ops(ops, x, inputs)
+    assert inputs[0] is x and inputs[1] is y
+    before = g.tobytes()
+    dx, pgrads = nn_ops.backward_ops(ops, inputs, g)
+    assert g.tobytes() == before
+    mine = g.copy()
+    dx_mine, pgrads_mine = nn_ops.backward_ops(ops, inputs, mine, in_place=True)
+    assert mine.tobytes() == relu_backward(y, g).tobytes()
+    assert dx_mine.tobytes() == dx.tobytes()
+    assert [a.tobytes() for a in pgrads_mine] == [a.tobytes() for a in pgrads]
 
 
 def test_depthwise_backward_shapes():
@@ -420,6 +426,48 @@ def test_column_sums_equal_numpys_reduce(rows, cols, dtype, seed):
         a[:, rng.integers(cols)] = -0.0
     with np.errstate(over="ignore", invalid="ignore"):
         assert same_results(nn_ops._column_sums(a), np.add.reduce(a, axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    channels=st.integers(1, 8),
+    x_planar=st.booleans(),
+    g_planar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relu_backward_reads_relus_input_or_output_alike(rows, cols, channels, x_planar, g_planar, seed):
+    """relu_backward(relu(x), g), relu_backward(x, g) and the out=g form give the same bytes.
+
+    In either layout of x and g, with magnitudes over twelve decades and
+    signed zeros, NaNs, infinities and subnormals in both.
+    """
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny], dtype=np.float32)
+
+    def draw():
+        shape = (rows, cols, channels)
+        a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(np.float32)
+        mask = rng.random(shape) < 0.2
+        a[mask] = rng.choice(special, int(mask.sum()))
+        return a
+
+    def laid_out(a, is_planar):
+        return planar(a) if is_planar else a.copy()
+
+    x, g = draw(), draw()
+    before = g.tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 from a masked infinity
+        want = relu_backward(x, g)
+        assert g.tobytes() == before
+        for source in (x, relu(x)):
+            got = relu_backward(laid_out(source, x_planar), laid_out(g, g_planar))
+            assert got.flags.c_contiguous and same_results(got, want)
+            grad = laid_out(g, g_planar)
+            got = relu_backward(laid_out(source, x_planar), grad, out=grad)
+            assert got is grad and same_results(np.ascontiguousarray(got), want)
 
 
 @pytest.mark.parametrize("first", ["depthwise", "pointwise", "relu"])
