@@ -176,65 +176,86 @@ def _shape_and_mean(reader) -> tuple:
     return reader.shape, metrics._image_mean(reader)
 
 
-class _Patches(Sequence):
-    """Training triples of uint8 patches, each normalized as it is read.
+def _read_band(path, identity, r):
+    """Rows [r, r + TRAIN_PATCH) of path's PPM, or an OSError naming path if it is not the file loaded."""
+    try:
+        with tensor_core.PpmReader(path) as reader:
+            if reader.identity == identity:
+                return reader[r : r + TRAIN_PATCH]
+    except tensor_core.PpmParseError:
+        pass  # it parsed at load, so it has changed
+    raise OSError(f"{path}: changed since train loaded it")
 
-    train_toy reads len(dataset) and dataset[i] only, and normalize works
-    elementwise, so a triple read here holds the floats of one normalized
-    eagerly; the store holds a quarter of their bytes. Iterating yields
-    normalized triples too.
+
+class _Patches(Sequence):
+    """Training triples read from their files on demand, each patch normalized as it is read.
+
+    A scene keeps no pixels: only the (path, identity) of its under, over and
+    label files and its patch grid. dataset[i] reads its patch's rows from
+    each file, opened for that read only, and keeps the three bands until a
+    patch of other rows is read; train_toy reads each step's samples in
+    sorted order, so each band once. normalize works elementwise, so a
+    triple holds the floats of the extract_patches patches normalized eagerly.
     """
 
-    def __init__(self, triples):
-        self._triples = triples
+    def __init__(self, scenes):
+        self._scenes = scenes  # (files, row origins, column origins)
+        self._len = sum(len(rows) * len(cols) for _, rows, cols in scenes)
+        self._band = None, ()  # ((scene, row), its three bands)
 
     def __len__(self):
-        return len(self._triples)
+        return self._len
 
     def __getitem__(self, i):
-        return tuple(tensor_core.normalize(p) for p in self._triples[i])
+        i = range(self._len)[i]  # an IndexError past either end, as from a list
+        for s, (files, rows, cols) in enumerate(self._scenes):
+            if i < len(rows) * len(cols):
+                break
+            i -= len(rows) * len(cols)
+        r, c = rows[i // len(cols)], cols[i % len(cols)]
+        if self._band[0] != (s, r):
+            self._band = None, ()  # the old bands go before the new ones are read
+            self._band = (s, r), tuple(_read_band(path, identity, r) for path, identity in files)
+        return tuple(tensor_core.normalize(band[:, c : c + TRAIN_PATCH]) for band in self._band[1])
 
 
 def _load_training_triples(data_dir):
+    """The _Patches of data_dir's scenes, each read here only to pick its pair and check its files."""
     root = Path(data_dir)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
     scenes = [root] if (root / "label.ppm").exists() else sorted(
         p for p in root.iterdir() if p.is_dir()
     )
-    triples = []
+    kept = []
     for scene in scenes:
         label_path = scene / "label.ppm"
         if not label_path.exists():
             print(f"warning: {scene}: no label.ppm, skipped", file=sys.stderr)
             continue
-        # only the chosen pair and the label are decoded
+        # (shape, mean, (path, identity)) of each exposure: no pixels are kept
         seen = [
-            (f, _scene_image(f, _shape_and_mean))
+            _scene_image(f, lambda reader: (*_shape_and_mean(reader), (reader.path, reader.identity)))
             for f in sorted(scene.iterdir()) if _is_ppm(f) and f.name.lower() != "label.ppm"
         ]
-        exposures = [(f, *found) for f, found in seen if found is not None]
+        exposures = [found for found in seen if found is not None]
         if len(exposures) < 2:
             print(f"warning: {scene}: fewer than two exposures, skipped", file=sys.stderr)
             continue
-        label_shape = _scene_image(label_path, lambda reader: reader.shape)
-        if label_shape is None:
+        label = _scene_image(label_path, lambda reader: (reader.shape, (reader.path, reader.identity)))
+        if label is None:
             continue
-        paths, shapes, means = zip(*exposures)
-        if any(shape != label_shape for shape in shapes):
+        shapes, means, files = zip(*exposures)
+        if any(shape != label[0] for shape in shapes):
             print(f"warning: {scene}: image dimensions differ, skipped", file=sys.stderr)
             continue
-        if min(label_shape[0], label_shape[1]) < TRAIN_PATCH:
+        h, w, _ = label[0]
+        if min(h, w) < TRAIN_PATCH:
             print(f"warning: {scene}: smaller than {TRAIN_PATCH}x{TRAIN_PATCH}, skipped", file=sys.stderr)
             continue
         ui, oi = metrics._extreme_pair(shapes, means)
-        parts = [
-            _scene_image(f, lambda reader: metrics.extract_patches(reader, TRAIN_PATCH, TRAIN_PATCH))
-            for f in (paths[ui], paths[oi], label_path)
-        ]
-        if None not in parts:
-            triples.extend(zip(*parts))
-    return _Patches(triples)
+        kept.append(((files[ui], files[oi], label[1]), *metrics._patch_grid(h, w, TRAIN_PATCH, TRAIN_PATCH)))
+    return _Patches(kept)
 
 
 def _keep_freed_heap() -> None:

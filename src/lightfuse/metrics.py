@@ -315,12 +315,18 @@ def extract_patches(img, size: int = 256, stride: int = 256):
     h, w = img.shape[:2]
     if h < size or w < size:
         raise ValueError(f"image {h}x{w} is smaller than the {size}x{size} patch size")
+    rows, cols = _patch_grid(h, w, size, stride)
     patches = []
-    for r in range(0, h - size + 1, stride):
+    for r in rows:
         band = img[r : r + size]
-        for c in range(0, w - size + 1, stride):
+        for c in cols:
             patches.append(band[:, c : c + size].copy())
     return patches
+
+
+def _patch_grid(h: int, w: int, size: int, stride: int) -> tuple:
+    """(row origins, column origins) of extract_patches' grid; its patches run row by row."""
+    return range(0, h - size + 1, stride), range(0, w - size + 1, stride)
 
 
 def format_scores(psnr_value: float, ssim_value: float) -> str:

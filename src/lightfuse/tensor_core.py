@@ -231,9 +231,10 @@ class PpmReader:
     decode_ppm's error messages, before any pixel is read. reader[a:b]
     returns rows [a, b) as a new uint8 (b - a, W, 3) array, and
     reader.readinto(a, b, out) reads them into a caller's; shape, dtype and
-    ndim are those of the decoded image. Each read names its file offset
-    (os.preadv), so threads may share a reader. Use as a context manager, or
-    call close().
+    ndim are those of the decoded image, and identity is the file's
+    (st_dev, st_ino, st_size, st_mtime_ns) when opened. Each read names its
+    file offset (os.preadv), so threads may share a reader. Use as a context
+    manager, or call close().
     """
 
     dtype = np.dtype(np.uint8)
@@ -261,6 +262,7 @@ class PpmReader:
             self._file.close()
             raise
         self.shape = (height, width, 3)
+        self.identity = status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         if not isinstance(rows, slice) or rows.step not in (None, 1):

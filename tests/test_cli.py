@@ -6,14 +6,17 @@ import platform
 import resource
 import stat
 import statistics
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lightfuse import cli, fusion, tensor_core, training
+from lightfuse import cli, fusion, metrics, tensor_core, training
 from lightfuse.model import build_lightfuse, init_weights, save_weights
 from lightfuse.tensor_core import decode_ppm, encode_ppm
 
@@ -225,10 +228,11 @@ def test_pair_selects_from_the_exact_means(tmp_path):
 
 # -------------------------------------------------------------------- train
 
-def make_scene(root, seed, hw=64):
+def make_scene(root, seed, hw=64, w=None):
+    """A scene of hw x w (default hw x hw) images whose darkest exposure is a.ppm and brightest c.ppm."""
     root.mkdir(parents=True)
     rng = np.random.default_rng(seed)
-    label = rng.integers(80, 200, size=(hw, hw, 3)).astype(np.int16)
+    label = rng.integers(80, 200, size=(hw, w or hw, 3)).astype(np.int16)
     write_ppm(root / "label.ppm", label.astype(np.uint8))
     write_ppm(root / "a.ppm", np.clip(label - 60, 0, 255).astype(np.uint8))
     write_ppm(root / "b.ppm", np.clip(label + 40, 0, 255).astype(np.uint8))
@@ -285,18 +289,75 @@ def test_train_keeps_its_heap_between_samples(tmp_path):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * samples
 
 
-def test_train_holds_its_patches_as_uint8_and_normalizes_each_read(tmp_path):
-    make_scene(tmp_path / "data" / "scene1", seed=4, hw=128)
-    make_scene(tmp_path / "data" / "scene2", seed=5, hw=64)
-    patches = cli._load_training_triples(tmp_path / "data")
-    assert len(patches) == 5
-    assert all(p.dtype == np.uint8 and p.shape == (64, 64, 3) for triple in patches._triples for p in triple)
-    eager = [tuple(tensor_core.normalize(p) for p in triple) for triple in patches._triples]
-    assert [[p.tobytes() for p in triple] for triple in patches] == [[p.tobytes() for p in t] for t in eager]
-    graph = build_lightfuse()
-    trained = [training.train_toy(graph, init_weights(graph, 3), data, steps=2, seed=3, batch_size=3)[0]
-               for data in (patches, eager)]
-    assert save_weights(trained[0], graph) == save_weights(trained[1], graph)
+def eager_triples(root, names):
+    """Each scene's normalized (under, over, label) patches, from its decoded files and extract_patches."""
+    triples = []
+    for name in names:
+        exposures = [decode_ppm((root / name / f).read_bytes()) for f in ("a.ppm", "b.ppm", "c.ppm")]
+        ui, oi = metrics.select_extreme_pair(exposures)
+        label = decode_ppm((root / name / "label.ppm").read_bytes())
+        parts = [metrics.extract_patches(img, 64, 64) for img in (exposures[ui], exposures[oi], label)]
+        triples += [tuple(tensor_core.normalize(p) for p in triple) for triple in zip(*parts)]
+    return triples
+
+
+def triple_bytes(triple):
+    return [(p.dtype, p.shape, p.tobytes()) for p in triple]
+
+
+@settings(max_examples=20, deadline=None)
+@given(sizes=st.lists(st.tuples(st.integers(64, 200), st.integers(64, 200)), min_size=1, max_size=3),
+       data=st.data())
+def test_train_reads_each_triple_from_its_files_as_extract_patches_cuts_it(sizes, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "data"
+        names = [f"scene{k}" for k in range(len(sizes))]
+        for k, (name, (h, w)) in enumerate(zip(names, sizes)):
+            make_scene(root / name, seed=k, hw=h, w=w)
+        eager = eager_triples(root, names)
+        dataset = cli._load_training_triples(root)
+        n = len(eager)
+        assert len(dataset) == n
+        # drawn reads (unsorted, repeated, negative), then every triple forwards and backwards across the bands
+        order = data.draw(st.lists(st.integers(-n, n - 1), max_size=3 * n)) + [*range(n), *reversed(range(n))]
+        for i in order:
+            assert triple_bytes(dataset[i]) == triple_bytes(eager[i])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                dataset[i]
+        graph = build_lightfuse()
+        trained = [training.train_toy(graph, init_weights(graph, 3), d, steps=2, seed=3, batch_size=3)[0]
+                   for d in (dataset, eager)]
+        assert save_weights(trained[0], graph) == save_weights(trained[1], graph)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts the open descriptors in /proc/self/fd")
+def test_train_opens_each_file_only_for_its_read(tmp_path):
+    make_scene(tmp_path / "data" / "scene1", seed=8, hw=128, w=192)  # triples 0-2 in rows 0-63, 3-5 below
+    make_scene(tmp_path / "data" / "scene2", seed=9)  # triple 6
+    readers = []
+
+    class Opening(tensor_core.PpmReader):
+        def __init__(self, path):
+            super().__init__(path)
+            readers.append(self)
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    with mock.patch.object(tensor_core, "PpmReader", Opening):
+        dataset = cli._load_training_triples(tmp_path / "data")
+        assert open_fds() == before
+        for i, scene in [(0, "scene1"), (2, None), (3, "scene1"), (6, "scene2"), (1, "scene1"), (0, None)]:
+            loaded = len(readers)
+            dataset[i]
+            assert open_fds() == before
+            # a triple of another band opens its scene's chosen pair and label, once each
+            read = sorted(str(reader.path) for reader in readers[loaded:])
+            assert read == ([str(tmp_path / "data" / scene / f) for f in ("a.ppm", "c.ppm", "label.ppm")]
+                            if scene else [])
+    assert all(reader._file.closed for reader in readers)
 
 
 def test_train_scene_without_label_is_skipped(tmp_path, capsys):
@@ -334,6 +395,39 @@ def test_train_scene_with_malformed_label_is_skipped(fault, reason, tmp_path, ca
     assert " triples=1 " in out
     assert f"warning: {bad}: {reason}" in err
     assert err.rstrip().endswith("), skipped")
+
+
+def rewrite_larger(path):
+    write_ppm(path, rand_img(65, 64, 0))
+
+
+def replace_with_a_copy(path):
+    copy = path.with_name("copy.tmp")
+    copy.write_bytes(path.read_bytes())
+    os.replace(copy, path)
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("label.ppm", rewrite_larger),
+    ("label.ppm", replace_with_a_copy),
+    ("label.ppm", truncate),
+    ("a.ppm", replace_with_a_copy),
+], ids=["label_rewritten", "label_replaced", "label_truncated", "under_replaced"])
+def test_train_fails_on_a_file_changed_since_load(name, fault, tmp_path, capsys):
+    make_scene(tmp_path / "data" / "scene1", seed=25)
+    changed = tmp_path / "data" / "scene1" / name
+    out = tmp_path / "w.lfw"
+    train_toy = training.train_toy
+
+    def changing_first(*args, **kwargs):
+        fault(changed)
+        return train_toy(*args, **kwargs)
+
+    with mock.patch.object(training, "train_toy", changing_first):
+        code = cli.main(["train", str(tmp_path / "data"), str(out), "--steps", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"i/o error: {changed}: changed since train loaded it\n"
+    assert not out.exists() and not (tmp_path / "w.lfw.csv").exists()
 
 
 def test_train_skips_a_directory_named_exposure(tmp_path, capsys):
@@ -657,6 +751,17 @@ def test_fuse_and_eval_memory_stays_flat_as_images_grow(tmp_path, weights_file):
     # than one stripe's input too; the exact figure varies by a few KB from
     # call to call (argparse, caches), which metrics-level tests avoid
     assert eval_growth < stripe_input
+
+
+def test_train_memory_stays_flat_as_scenes_grow(tmp_path):
+    # one scene of 2 x 2 triples at H=128, 16 x 2 at H=1024; a step reads at most 20
+    w = 128
+    peaks = {}
+    for h in (128, 1024):
+        make_scene(tmp_path / f"scene{h}", seed=7, hw=h, w=w)
+        peaks[h] = traced_peak(["train", str(tmp_path / f"scene{h}"), str(tmp_path / f"w{h}.lfw"), "--steps", "1"])
+    band_set = 3 * cli.TRAIN_PATCH * w * 3  # one uint8 band of patch rows per file
+    assert peaks[1024] - peaks[128] < band_set
 
 
 FUSE_TESTS = (

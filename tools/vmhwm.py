@@ -8,9 +8,10 @@ directory of an exposure pair and a label image (uint8 noise drawn from
 seed 1), and lightfuse weights (model.init_weights(graph, 1)), into a
 temporary directory. It then runs `fuse under over fused --weights w
 --tile-size S` (default 32), `eval fused label` and `train scene t.lfw
---steps 1` (which holds all the scene's 64x64 patches and steps on a batch
-of at most 20), each through `lightfuse.cli.main` in a new Python process
-with one BLAS thread, and prints one line per call:
+--steps 1` (which steps on a batch of at most 20 of the scene's 64x64
+patches, read from its files one band of 64 full-width rows at a time),
+each through `lightfuse.cli.main` in a new Python process with one BLAS
+thread, and prints one line per call:
 
     fuse 256x256 rc=0 vmhwm_mb=34.77 traced_mb=5.17
 
