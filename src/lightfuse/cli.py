@@ -11,6 +11,7 @@ from . import cost_model, fusion, metrics, model, tensor_core, training
 
 import argparse
 import ctypes
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -280,12 +281,15 @@ def _keep_freed_heap() -> None:
 
 
 def cmd_train(args) -> int:
+    curve_path = args.curve if args.curve else f"{args.out}.csv"
+    # both outputs would be renamed onto one file, which would keep only the weights
+    if os.path.realpath(curve_path) == os.path.realpath(args.out):
+        raise _UsageError(f"--curve {curve_path} names the weights output {args.out}")
     triples = _load_training_triples(args.data_dir)
     if not triples:
         raise ValueError("no usable training triples found")
     graph = model.build_lightfuse()
     initial = model.init_weights(graph, args.seed)
-    curve_path = args.curve if args.curve else f"{args.out}.csv"
     # both outputs are checked before training, and replaced only if both are written
     with tensor_core._OutputFile(args.out) as weights_file, tensor_core._OutputFile(curve_path) as curve_file:
         trained, curve = training.train_toy(graph, initial, triples, args.steps, seed=args.seed)

@@ -28,9 +28,10 @@ schedule streams one pixel at a time per layer: the widest (in + out) pair.
 A whole forward pass (fused_forward, and fuse_images for 8-bit images) runs
 in horizontal stripes of output rows, in units of 8 rows, so no full-size
 intermediate exists. Each stripe's detail branch is one run_detailnet_fused
-call, its tile clamped to the stripe's height, and the stripe's global
-branch runs on the calling thread while the blocks run: only its encoder,
-g1..g3 with their ReLUs, up to the trailing nearest-neighbour upsamplings.
+call, its tile clamped to the stripe's height, made after the stripe's
+global branch has run on the calling thread: only its encoder, g1..g3 with
+their ReLUs, up to the trailing nearest-neighbour upsamplings. The two
+branches meet only at the merge, so they run one after the other.
 The global branch of a stripe starting at row r0 > 0 runs on input rows
 [r0 - 8, r1): a stride-2 3x3 layer reads one row above each output row's
 centre, so only output row 0 of g1, g2 and g3 sees the window's zero
@@ -44,15 +45,14 @@ global + detail in place, then tanh. Upsampling only copies values, so each
 sum and each tanh is the float model.forward computes; up1..up3 do not run
 here (model.forward and run_branch keep them).
 
-A stripe's buffers are made in this order: its input rows, the detail
-output, each worker's block buffers (the worker then starts), the global
-branch's temporaries, freed when it returns but for the g3 map, and only
-then the calling thread's block buffers (tensor_core._share_work), which
-reuse the global branch's heap space. The detail output is freed before
-the next stripe's input rows are read. Stripes run in row order; reading
-the input rows, the merge, the finiteness check and writing the output
-rows stay on the calling thread, so the first non-finite stripe is the one
-reported.
+A stripe's buffers are made in this order: its input rows, the global
+branch's temporaries, freed when it returns but for the g3 map, then the
+detail output and each thread's block buffers (tensor_core._share_work),
+which reuse the global branch's heap space. The detail output is freed
+before the next stripe's input rows are read. Stripes run in row order;
+reading the input rows, the merge, the finiteness check and writing the
+output rows stay on the calling thread, so the first non-finite stripe is
+the one reported.
 """
 
 import math
@@ -92,8 +92,9 @@ _FUSED_PEAK_CHANNELS = _WIDTHS[0] + sum(sorted(_WIDTHS[1:-1])[-2:])
 # 0.418 and 0.434 s at the first three in 15 shuffled rounds, as each stripe
 # re-reads 8 halo rows and ends when both threads have finished its blocks
 # (README, "Tile-fused execution"). With the global branch run before the
-# calling thread's buffers are made, and the g3 map broadcast in the merge,
-# the traced peaks (uint8 output excluded) are 6.61, 4.91, 4.42 and 3.81 MiB.
+# detail output and every block buffer are made, and the g3 map broadcast
+# in the merge, the traced peaks (uint8 output excluded) are 5.55, 4.69,
+# 4.41 and 3.81 MiB.
 FUSE_STRIPE_PIXELS = 49152
 
 
@@ -136,21 +137,21 @@ def _fused_traffic(h: int, w: int, s: int) -> TrafficReport:
     )
 
 
-def run_detailnet_fused(x: np.ndarray, weights: dict, tile, alongside=None) -> tuple:
+def run_detailnet_fused(x: np.ndarray, weights: dict, tile) -> tuple:
     """The detail chain in flat pixel blocks, reported as run in S x S tiles.
 
     Returns (output, TrafficReport); the output is (H, W, 3) and
     channel-planar. The tile side S, 1 to min(H, W), sizes the report only:
     off-chip traffic reads the input once and writes the output once, and
     intermediates stay on chip. The chain, ReLUs included, runs in
-    nn_ops._run_chain, so a float64 input stays float64; `alongside`, the
-    threads and a worker's exception follow that helper.
+    nn_ops._run_chain, so a float64 input stays float64; the threads and a
+    worker's exception follow that helper.
     """
     _check_detail_input(x)
     h, w = x.shape[:2]
     traffic = _fused_traffic(h, w, _tile_side(tile, h, w))
     ops = sum((model.layer_kernels(layer, weights) for layer in _DETAIL), ())
-    return nn_ops._run_chain(x, ops, alongside), traffic
+    return nn_ops._run_chain(x, ops), traffic
 
 
 def run_detailnet_unfused(x: np.ndarray, weights: dict) -> tuple:
@@ -185,18 +186,15 @@ def _run_stripes(weights: dict, h: int, w: int, tile, rows_in, rows_out) -> Traf
     for r0, r1 in _stripes(h, w):
         a = max(0, r0 - halo)
         x = rows_in(a, r1)
-        g_out = []
+        g = model.run_branch(_ENCODER, weights, x)
         # a stripe shorter than the tile is reported as one tile of its height
-        d_out, _ = run_detailnet_fused(
-            x[r0 - a :], weights, min(s, r1 - r0),
-            alongside=lambda: g_out.append(model.run_branch(_ENCODER, weights, x)),
-        )
+        d_out, _ = run_detailnet_fused(x[r0 - a :], weights, min(s, r1 - r0))
         del x
         # both branches compute in result_type(input, weights), so the merge
         # can overwrite the detail output without a cast; the planar detail
         # output seen as (3, R, 8, C, 8) takes the encoder's (3, R, C) map
         # broadcast over each 8 x 8 block, the values the upsamplings copy
-        g = g_out.pop()[(r0 - a) // _UPSCALE :].transpose(2, 0, 1)
+        g = g[(r0 - a) // _UPSCALE :].transpose(2, 0, 1)
         d = d_out.transpose(2, 0, 1).reshape(
             (d_out.shape[2], g.shape[1], _UPSCALE, g.shape[2], _UPSCALE), copy=False
         )

@@ -261,7 +261,7 @@ def ssim(a, b) -> float:
             np.empty((channels, unit_rows, ow)),
         )
 
-    tensor_core._share_work(units, run_unit, buffer_set, min(tensor_core.CPU_THREADS, len(units)))
+    tensor_core._share_work(units, run_unit, buffer_set)
     unit_sums = iter(sums.T)
     totals = _sum_tree(0, n, budget, lambda start, size: next(unit_sums))  # one per channel
     return float(np.mean(totals / n))

@@ -167,7 +167,7 @@ def _planar(a: np.ndarray) -> np.ndarray:
     return a.transpose(tuple(range(1, a.ndim)) + (0,))  # np.moveaxis(a, 0, -1); its checks cost more
 
 
-def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
+def _run_chain(x: np.ndarray, ops) -> np.ndarray:
     """The one block loop of every 1x1 chain: x (..., C) -> (..., C'), channel-planar.
 
     ops are PointwiseKernels, each optionally followed by "relu" (rectified in
@@ -189,17 +189,13 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
     buffer start on a cache line (tensor_core._aligned_empty). The result is
     the caller's; the buffers live for this call only.
 
-    A lone block with no `alongside` runs inline on the calling thread.
-    Otherwise tensor_core._share_work shares the blocks among CPU_THREADS
-    threads: the caller makes a worker's buffer set, starts it, and so on for
-    each worker, runs `alongside` (a fuse stripe's global branch), and only
-    then makes its own set and claims blocks too, so `alongside`'s temporaries
-    and the caller's buffers are never alive together; every thread is joined
+    A lone block runs inline on the calling thread. Otherwise
+    tensor_core._share_work shares the blocks among CPU_THREADS threads: the
+    caller makes a worker's buffer set, starts it, and so on for each worker,
+    then makes its own set and claims blocks too; every thread is joined
     before this returns or raises, and a worker's first exception is raised
-    here. A chain inside `alongside` (g3's, past a padded width of 16,384)
-    shares its blocks too, beside the caller's workers: accepted for inputs
-    that wide. numpy's ufuncs and copies release the GIL, so the arithmetic
-    runs on every CPU.
+    here. numpy's ufuncs and copies release the GIL, so the arithmetic runs
+    on every CPU.
     Each thread writes disjoint pixels, so no bit depends on the thread count.
     Workers call only _run_block, pointwise_channels_first and numpy, never a
     function in a module's __all__, so a traced run sees one thread.
@@ -231,15 +227,12 @@ def _run_chain(x: np.ndarray, ops, alongside=None) -> np.ndarray:
         acts = [tensor_core._aligned_empty((widest * chunk,), np.uint8) for _ in range(n_acts)]
         return gather, acts, tensor_core._aligned_empty((widest * chunk,), np.uint8)
 
-    if lone and alongside is None:
+    if lone:
         _run_block(steps, xt, out, 0, *buffer_set())
     else:
-        blocks = range(0, npix, max(chunk, 1))
-        # with zero pixels there is no block and one thread, so `alongside` still runs
-        threads = max(1, min(tensor_core.CPU_THREADS, len(blocks)))
         tensor_core._share_work(
-            blocks, lambda p0, *bufs: _run_block(steps, xt[:, p0 : p0 + chunk], out, p0, *bufs),
-            buffer_set, threads, alongside,
+            range(0, npix, chunk), lambda p0, *bufs: _run_block(steps, xt[:, p0 : p0 + chunk], out, p0, *bufs),
+            buffer_set,
         )
     return _planar(out.reshape((chans,) + x.shape[:-1]))
 

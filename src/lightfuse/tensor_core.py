@@ -11,8 +11,8 @@ _check_images8 checks every 8-bit image argument, _open_input opens every
 input file and _OutputFile writes every output file (PpmWriter's, and the
 CLI's weights and loss curve).
 
-_share_work runs a call's work units on CPU_THREADS threads for its two
-users: nn_ops._run_chain, the one block loop of every 1x1 chain (both
+_share_work runs a call's work units on up to CPU_THREADS threads for its
+two users: nn_ops._run_chain, the one block loop of every 1x1 chain (both
 pointwise_forward and fusion.run_detailnet_fused), and metrics.ssim.
 """
 
@@ -75,20 +75,16 @@ def _aligned_empty(shape: tuple, dtype) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
-def _share_work(units, run, make_buffers, threads, alongside=None) -> None:
-    """run(unit, *bufs) for every unit, on `threads` threads, each with its own bufs = make_buffers().
+def _share_work(units, run, make_buffers) -> None:
+    """run(unit, *bufs) for every unit on min(CPU_THREADS, len(units)) threads, each with bufs = make_buffers().
 
-    The calling thread makes every buffer set. It starts threads - 1
-    workers, making each one's set just before starting it; each thread
-    claims units one at a time, in order, from a shared iterator. The
-    calling thread then calls `alongside`, if given, with no arguments,
-    and only after it returns makes its own set and claims units too. So
-    what `alongside` allocates and frees (a fuse stripe's global branch)
-    is never alive beside the caller's set, which reuses that heap space.
-    Sets are never made on a worker: glibc would serve them from a second
-    malloc arena, whose freed pages the calling thread's later allocations
-    do not reuse, so a process that fuses again and again would keep both
-    arenas' pages resident.
+    The calling thread makes every buffer set. It starts one worker fewer
+    than that thread count, making each one's set just before starting it,
+    then makes its own set last; each thread claims units one at a time,
+    in order, from a shared iterator. Sets are never made on a worker:
+    glibc would serve them from a second malloc arena, whose freed pages
+    the calling thread's later allocations do not reuse, so a process that
+    fuses again and again would keep both arenas' pages resident.
 
     A worker runs in a copy of the caller's context, which carries its
     np.errstate. Every thread is joined before this returns or raises. An
@@ -114,12 +110,10 @@ def _share_work(units, run, make_buffers, threads, alongside=None) -> None:
 
     started = []
     try:
-        for _ in range(threads - 1):
+        for _ in range(min(CPU_THREADS, len(units)) - 1):
             thread = threading.Thread(target=contextvars.copy_context().run, args=(worker, make_buffers()))
             thread.start()
             started.append(thread)
-        if alongside is not None:
-            alongside()
         run_units(make_buffers())
     except BaseException as exc:
         failed.append(exc)  # the workers stop at their next claim

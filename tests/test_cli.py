@@ -545,6 +545,26 @@ def test_train_fifo_output_fails_without_blocking(which, tmp_path, fifo_call, ca
     assert sorted(os.listdir(tmp_path)) == listing  # no output file is left
 
 
+@pytest.mark.parametrize("curve", ["same_path", "symlink", "default_path_symlink"])
+def test_train_refuses_a_curve_that_names_the_weights_output(curve, tmp_path, capsys):
+    # both outputs would be renamed onto one file, keeping only the weights:
+    # a usage error (exit 1) before any output is created
+    make_scene(tmp_path / "data" / "scene1", seed=29)
+    out = tmp_path / "w.lfw"
+    argv = ["train", str(tmp_path / "data"), str(out), "--steps", "1"]
+    if curve == "same_path":
+        argv += ["--curve", str(out)]
+    else:
+        link = tmp_path / ("link.csv" if curve == "symlink" else "w.lfw.csv")
+        link.symlink_to("w.lfw")  # dangling: the weights do not exist yet
+        argv += ["--curve", str(link)] if curve == "symlink" else []
+    listing = sorted(os.listdir(tmp_path))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--curve" in err
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
 @pytest.mark.parametrize("command", ["analyze", "bench", "eval", "fuse", "pair", "train"])
 def test_every_command_keeps_its_freed_heap(command, tmp_path, weights_file):
     # fuse and eval refault their stripe buffers without it, as train does

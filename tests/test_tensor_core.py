@@ -1,6 +1,7 @@
 import os
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,16 +348,19 @@ def test_denormalize_matches_seed_formula_at_edges_and_halves(dtype):
 # ------------------------------------------------------------ shared work
 
 
-@pytest.mark.parametrize("n_threads", [1, 3])
-def test_share_work_makes_every_buffer_set_on_the_calling_thread_its_own_after_alongside(n_threads):
+@pytest.mark.parametrize("cpus, n_units", [(1, 20), (3, 20), (4, 2)])
+def test_share_work_makes_every_buffer_set_on_the_caller_its_own_last(cpus, n_units):
+    # min(CPU_THREADS, len(units)) threads: fewer units than CPUs start fewer workers
+    n_threads = min(cpus, n_units)
     caller = threading.current_thread()
-    events, ran, lock = [], [], threading.Lock()
+    before = threading.active_count()
+    live_at_make, ran, lock = [], [], threading.Lock()
     caller_ran = threading.Event()
 
     def make_buffers():
         assert threading.current_thread() is caller
-        events.append("make")
-        return (events.count("make"),)  # the set's number
+        live_at_make.append(threading.active_count())
+        return (len(live_at_make),)  # the set's number
 
     def run(unit, number):
         on_caller = threading.current_thread() is caller
@@ -364,14 +368,19 @@ def test_share_work_makes_every_buffer_set_on_the_calling_thread_its_own_after_a
             caller_ran.set()
         else:
             # a worker holds its unit until the calling thread has run one,
-            # so the caller is sure to claim units with its own set
+            # so the caller is sure to claim units with its own set and no
+            # worker ends before every set is made
             assert caller_ran.wait(10)
         with lock:
             ran.append((unit, on_caller, number))
 
-    tensor_core._share_work(range(20), run, make_buffers, n_threads, alongside=lambda: events.append("alongside"))
-    assert events == ["make"] * (n_threads - 1) + ["alongside", "make"]
-    assert sorted(unit for unit, _, _ in ran) == list(range(20))
+    with mock.patch.object(tensor_core, "CPU_THREADS", cpus):
+        tensor_core._share_work(range(n_units), run, make_buffers)
+    # set k is made while k - 1 workers run: each worker's just before it
+    # starts, and the caller's last
+    assert live_at_make == [before + k for k in range(n_threads)]
+    assert threading.active_count() == before
+    assert sorted(unit for unit, _, _ in ran) == list(range(n_units))
     # the caller runs with the set made last, each worker with one of its own
     assert {number for _, on_caller, number in ran if on_caller} == {n_threads}
     worker_sets = [number for _, on_caller, number in ran if not on_caller]
